@@ -1,0 +1,129 @@
+"""Golden digests: SHA-256 of fixed short runs, pinned to exact bytes.
+
+Three digests cover the trained networks, every algorithm's curve CSV, and
+the learner's parameter trajectory step by step.  A change that is meant to
+be a pure speed-up must leave all three unchanged; a change that moves any
+of them by one ulp shows here.  ``golden_digests`` is also run in fresh
+interpreters under different BLAS thread counts, which must agree.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+import rlapso
+from rlapso import ddpg, harness
+from rlapso.ddpg import ActorPolicy, DdpgAgent, action_width
+
+GOLDEN = {
+    "training": "a79d63cdbb3854587ef83c83731cc61705f9d6a67dd43df87e26259578ac56f5",
+    "curves": "6b12071ff9f2470d2d36061246200bc2f3887188655e8874f6fca9f99653e130",
+    "learner_steps": "10cacafc4941ab7d801d2fed16ff9027a052221f2687beb048da8c4513b74bee",
+}
+
+
+def _param_bytes(net) -> bytes:
+    """Every weight matrix row-major, then every bias: the weight-file payload."""
+    parts = [np.ravel(w) for w in net.weights] + [np.ravel(b) for b in net.biases]
+    return np.concatenate(parts).astype("<f8").tobytes()
+
+
+def _networks(agent):
+    return (agent.actor, agent.critic, agent.actor_target, agent.critic_target)
+
+
+def _training_digest() -> str:
+    """Networks and episode log after a short training run whose replay ring
+    wraps (capacity 100, ~40 transitions per episode) and whose validation
+    picks a snapshot every second episode."""
+    agent = DdpgAgent(action_width("pso"), seed=5, buffer_capacity=100, warmup=64)
+    log = ddpg.train(agent, ["sphere", "rastrigin"], 8, "absolute", "pso", 4,
+                     n_particles=10, budget=400, seed=9, validate_every=2)
+    h = hashlib.sha256()
+    for net in _networks(agent):
+        h.update(_param_bytes(net))
+    for rec in log:
+        h.update(f"{rec.episode},{rec.function},{rec.fn_seed},"
+                 f"{float(rec.final_gbest).hex()},{float(rec.mean_critic_loss).hex()}\n"
+                 .encode())
+    return h.hexdigest()
+
+
+def _curves_digest(out_dir: Path) -> str:
+    """Curve-CSV bytes of one short run of every algorithm."""
+    def model(variant, mode, seed):
+        actor = DdpgAgent(action_width(variant), seed=seed).actor
+        meta = {"mode": mode, "variant": variant, "subgroups": "5",
+                "state_width": "15", "action_width": str(action_width(variant))}
+        return ActorPolicy(actor), meta
+
+    models = {
+        "rlam-absolute": model("pso", "absolute", 31),
+        "rlam-relative": model("pso", "relative", 32),
+        "rlpso": model("rlpso", "absolute", 33),
+    }
+    h = hashlib.sha256()
+    for algorithm in harness.ALGORITHMS:
+        rec = harness.run_single(algorithm, "rastrigin", 4, 1234, 600, 7, 10,
+                                 models.get(algorithm))
+        path = out_dir / f"{algorithm}.csv"
+        harness.write_curve_csv(rec, path)
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+def _learner_steps_digest() -> str:
+    """All four networks' parameters and the step's return values after each
+    of 60 learner steps, so a reordered Adam or soft update shows at once."""
+    agent = DdpgAgent(action_width("pso"), seed=41)
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        agent.buffer.push(rng.uniform(-1, 1, 15), rng.uniform(-1, 1, 20),
+                          float(rng.choice([-1.0, 1.0])), rng.uniform(-1, 1, 15))
+    h = hashlib.sha256()
+    for _ in range(60):
+        loss, objective = agent.train_step()
+        h.update(float(loss).hex().encode() + float(objective).hex().encode())
+        for net in _networks(agent):
+            h.update(_param_bytes(net))
+    return h.hexdigest()
+
+
+def golden_digests() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        curves = _curves_digest(Path(tmp))
+    return {
+        "training": _training_digest(),
+        "curves": curves,
+        "learner_steps": _learner_steps_digest(),
+    }
+
+
+def test_digests_match_golden_values():
+    assert golden_digests() == GOLDEN
+
+
+def _digests_in_subprocess(blas_threads: int) -> dict:
+    env = dict(os.environ)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = str(blas_threads)
+    src = str(Path(rlapso.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    env["PYTHONPATH"] = os.pathsep.join([src, tests])
+    code = "import json, test_golden; print(json.dumps(test_golden.golden_digests()))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=600)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_digests_independent_of_blas_thread_count():
+    one = _digests_in_subprocess(1)
+    two = _digests_in_subprocess(2)
+    assert one == two
+    assert one == GOLDEN
