@@ -109,37 +109,44 @@ def reward(prev_gbest: float, new_gbest: float) -> float:
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with seeded uniform batch sampling."""
+    """Fixed-capacity ring of transitions with seeded uniform batch sampling.
+
+    Transitions are rows of one preallocated float64 ring, laid out as
+    state | action | reward | next state and sized on the first push.  Rows
+    fill from the front and are only written when reached, so the unused
+    capacity stays out of resident memory.
+    """
 
     def __init__(self, capacity: int, seed: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._storage = []
+        self._ring = None
+        self._fields = None  # column slice (or index) of each transition part
+        self._size = 0
         self._cursor = 0
         self.rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
-        return len(self._storage)
+        return self._size
 
     def push(self, state, action, rew, next_state) -> None:
-        item = (state, action, rew, next_state)
-        if len(self._storage) < self.capacity:
-            self._storage.append(item)
-        else:
-            self._storage[self._cursor] = item
+        if self._ring is None:
+            s, a = np.size(state), np.size(action)
+            self._fields = (slice(0, s), slice(s, s + a), s + a, slice(s + a + 1, 2 * s + a + 1))
+            self._ring = np.empty((self.capacity, 2 * s + a + 1))
+        row = self._ring[self._cursor]
+        for field, value in zip(self._fields, (state, action, rew, next_state)):
+            row[field] = value
+        self._size = min(self._size + 1, self.capacity)
         self._cursor = (self._cursor + 1) % self.capacity
 
     def sample(self, batch_size: int):
         """Uniform without replacement within the batch; returns stacked arrays."""
-        if batch_size > len(self._storage):
-            raise ValueError(f"asked for {batch_size} transitions, buffer holds {len(self._storage)}")
-        idx = self.rng.choice(len(self._storage), size=batch_size, replace=False)
-        states = np.stack([self._storage[i][0] for i in idx])
-        actions = np.stack([self._storage[i][1] for i in idx])
-        rewards = np.array([self._storage[i][2] for i in idx])
-        next_states = np.stack([self._storage[i][3] for i in idx])
-        return states, actions, rewards, next_states
+        if batch_size > self._size:
+            raise ValueError(f"asked for {batch_size} transitions, buffer holds {self._size}")
+        idx = self.rng.choice(self._size, size=batch_size, replace=False)
+        return tuple(self._ring[idx, field] for field in self._fields)
 
 
 class DdpgAgent:
@@ -218,11 +225,11 @@ class DdpgAgent:
         critic_tape = GradientTape()
         q_pred = self.critic.forward(np.hstack([states, pred_actions]), critic_tape)
         actor_objective = float(np.mean(q_pred))
-        _, input_grad = self.critic.backward(critic_tape, np.full((b, 1), 1.0 / b))
+        _, input_grad = self.critic.backward(critic_tape, np.full((b, 1), 1.0 / b),
+                                             param_grads=False)
         action_grad = input_grad[:, self.state_dim :]
         actor_grads, _ = self.actor.backward(actor_tape, action_grad)
-        for g in actor_grads.weights + actor_grads.biases:
-            np.negative(g, out=g)  # gradient *ascent* on the critic value
+        np.negative(actor_grads.flat, out=actor_grads.flat)  # gradient *ascent* on the critic value
         adam_update(self.actor, actor_grads, self.actor_opt, self.actor_lr)
 
         self.soft_update_targets()

@@ -6,13 +6,19 @@ identity.  ``forward`` accepts a single vector or a (batch, features) matrix;
 gradient with respect to the input, which is how the critic's action
 gradient reaches the actor.
 
+Each network keeps all its parameters in one contiguous float64 vector,
+``Mlp.params``: every weight matrix row-major (layer by layer, shaped
+(fan_out, fan_in)), then every bias vector.  This is exactly the payload of
+a weight file.  ``Mlp.weights``/``Mlp.biases``, ``Gradients`` and the Adam
+moments use the same layout, so cloning, saving, loading, an Adam step and a
+soft target update are each a few whole-vector operations.
+
 Weight files are a fixed little-endian binary layout (see ``save_weights``)
 that round-trips bit-exactly.
 """
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,11 +46,39 @@ class WeightsTruncatedError(WeightsError):
 
 
 def _leaky(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0.0, z, LEAKY_SLOPE * z)
+    # equals np.where(z > 0, z, LEAKY_SLOPE * z) for every finite z
+    a = LEAKY_SLOPE * z
+    return np.maximum(z, a, out=a)
 
 
-def _leaky_grad(z: np.ndarray) -> np.ndarray:
-    return np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+def _layer_views(flat: np.ndarray, dims) -> tuple[list, list]:
+    """Per-layer weight and bias views into a flat vector in weight-file order."""
+    weights, biases = [], []
+    pos = 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+    for fan_out in dims[1:]:
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
+
+
+def _param_count(dims) -> int:
+    return sum(o * i for i, o in zip(dims[:-1], dims[1:])) + sum(dims[1:])
+
+
+def _flatten(dims, weights, biases, what: str) -> np.ndarray:
+    """Concatenate per-layer arrays into one flat vector, checking each shape."""
+    w_shapes = [(o, i) for i, o in zip(dims[:-1], dims[1:])]
+    b_shapes = [(o,) for o in dims[1:]]
+    if len(weights) != len(w_shapes) or len(biases) != len(b_shapes):
+        raise ValueError(f"{what}/parameter layer counts differ")
+    arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
+    for a, shape in zip(arrays, w_shapes + b_shapes):
+        if a.shape != shape:
+            raise ValueError(f"{what} shape {a.shape} != parameter shape {shape}")
+    return np.concatenate([a.ravel() for a in arrays])
 
 
 class GradientTape:
@@ -61,42 +95,61 @@ class GradientTape:
         self.output = None
 
 
-@dataclass
 class Gradients:
-    weights: list
-    biases: list
+    """Parameter gradients in one flat buffer laid out like ``Mlp.params``;
+    ``weights`` and ``biases`` are per-layer views into it."""
+
+    def __init__(self, flat: np.ndarray, layer_dims):
+        self.flat = flat
+        self.weights, self.biases = _layer_views(flat, layer_dims)
 
 
 class Mlp:
+    """Dense network whose parameters live in one contiguous float64 vector.
+
+    ``params`` holds every weight matrix row-major, then every bias vector,
+    which is also the weight-file payload; ``weights`` and ``biases`` are
+    per-layer views into it, so writing through them changes ``params``.
+    """
+
     def __init__(self, layer_dims, weights, biases, output_activation: str = "tanh"):
+        dims = list(layer_dims)
+        self._bind(dims, _flatten(dims, weights, biases, "weight"), output_activation)
+
+    @classmethod
+    def from_params(cls, layer_dims, params: np.ndarray, output_activation: str) -> "Mlp":
+        """Wrap a flat parameter vector (not copied) as a network."""
+        net = cls.__new__(cls)
+        net._bind(list(layer_dims), params, output_activation)
+        return net
+
+    def _bind(self, dims, params, output_activation):
         if output_activation not in _ACTIVATION_TAGS:
             raise ValueError(f"unknown output activation {output_activation!r}")
-        self.layer_dims = list(layer_dims)
-        self.weights = weights
-        self.biases = biases
+        if params.shape != (_param_count(dims),) or params.dtype != np.float64:
+            raise ValueError(f"layer dims {dims} need {_param_count(dims)} float64 parameters")
+        self.layer_dims = dims
+        self.params = params
+        self.weights, self.biases = _layer_views(params, dims)
         self.output_activation = output_activation
 
     @classmethod
     def init(cls, layer_dims, output_activation: str, rng: np.random.Generator) -> "Mlp":
         """Seeded uniform(+-1/sqrt(fan_in)) initialization."""
-        weights, biases = [], []
-        for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            weights.append(rng.uniform(-bound, bound, (fan_out, fan_in)))
-            biases.append(rng.uniform(-bound, bound, fan_out))
-        return cls(layer_dims, weights, biases, output_activation)
+        net = cls.from_params(layer_dims, np.empty(_param_count(layer_dims)), output_activation)
+        # draw order: layer by layer, weights before biases
+        for w, b in zip(net.weights, net.biases):
+            bound = 1.0 / np.sqrt(w.shape[1])
+            w[...] = rng.uniform(-bound, bound, w.shape)
+            b[...] = rng.uniform(-bound, bound, b.shape)
+        return net
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
 
     def clone(self) -> "Mlp":
-        return Mlp(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.output_activation,
-        )
+        return Mlp.from_params(self.layer_dims, self.params.copy(), self.output_activation)
 
     def forward(self, x, tape: GradientTape | None = None) -> np.ndarray:
         a = np.asarray(x, dtype=float)
@@ -111,7 +164,8 @@ class Mlp:
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             if tape is not None:
                 tape.inputs.append(a)
-            z = a @ w.T + b
+            z = a @ w.T
+            z += b
             if tape is not None:
                 tape.pre_acts.append(z)
             if k < last:
@@ -124,11 +178,14 @@ class Mlp:
             tape.output = a
         return a[0] if single else a
 
-    def backward(self, tape: GradientTape, output_grad) -> tuple[Gradients, np.ndarray]:
+    def backward(self, tape: GradientTape, output_grad,
+                 param_grads: bool = True) -> tuple[Gradients | None, np.ndarray]:
         """Backpropagate ``output_grad`` through the cached forward pass.
 
         Returns parameter gradients (summed over the batch) and the gradient
         with respect to the network input, shaped like the forward input.
+        With ``param_grads=False`` only the input gradient is computed and
+        the first element is None.
         """
         if tape is None or tape.output is None:
             raise RuntimeError("backward requires a forward pass recorded on the tape")
@@ -138,8 +195,7 @@ class Mlp:
             g = g[None, :]
         if g.shape != tape.output.shape:
             raise ValueError(f"output_grad shape {g.shape} != output shape {tape.output.shape}")
-        grad_w = [None] * self.n_layers
-        grad_b = [None] * self.n_layers
+        grads = Gradients(np.empty_like(self.params), self.layer_dims) if param_grads else None
         upstream = g
         for k in range(self.n_layers - 1, -1, -1):
             if k == self.n_layers - 1:
@@ -148,56 +204,71 @@ class Mlp:
                 else:
                     dz = upstream
             else:
-                dz = upstream * _leaky_grad(tape.pre_acts[k])
-            grad_w[k] = dz.T @ tape.inputs[k]
-            grad_b[k] = dz.sum(axis=0)
+                # upstream times the leaky-ReLU derivative (1 or LEAKY_SLOPE)
+                dz = np.where(tape.pre_acts[k] > 0.0, upstream, LEAKY_SLOPE * upstream)
+            if grads is not None:
+                np.matmul(dz.T, tape.inputs[k], out=grads.weights[k])
+                dz.sum(axis=0, out=grads.biases[k])
             upstream = dz @ self.weights[k]
-        return Gradients(grad_w, grad_b), (upstream[0] if single else upstream)
+        return grads, (upstream[0] if single else upstream)
 
 
 class AdamState:
-    """First/second-moment buffers for one network."""
+    """First/second-moment vectors for one network, laid out like its
+    ``params``, plus two scratch vectors so a step allocates nothing."""
 
     def __init__(self, net: Mlp, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m_w = [np.zeros_like(w) for w in net.weights]
-        self.v_w = [np.zeros_like(w) for w in net.weights]
-        self.m_b = [np.zeros_like(b) for b in net.biases]
-        self.v_b = [np.zeros_like(b) for b in net.biases]
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
+        self._step = np.empty_like(net.params)
+        self._denom = np.empty_like(net.params)
 
 
-def adam_update(net: Mlp, grads: Gradients, state: AdamState, lr: float) -> None:
-    """One in-place Adam step with bias correction."""
+def adam_update(net: Mlp, grads, state: AdamState, lr: float) -> None:
+    """One in-place Adam step with bias correction.
+
+    ``grads`` is a ``Gradients`` from ``backward``, or any object with
+    per-layer ``weights`` and ``biases`` lists shaped like the network's.
+    Every parameter sees, in order:
+    m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
+    p -= lr*(m/corr1) / (sqrt(v/corr2) + eps).
+    """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    if len(grads.weights) != net.n_layers:
-        raise ValueError("gradient/parameter layer counts differ")
+    g = getattr(grads, "flat", None)
+    if g is None:
+        g = _flatten(net.layer_dims, grads.weights, grads.biases, "gradient")
+    if g.shape != net.params.shape:
+        raise ValueError(f"gradient shape {g.shape} != parameter shape {net.params.shape}")
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
-    for k in range(net.n_layers):
-        for param, grad, m, v in (
-            (net.weights[k], grads.weights[k], state.m_w[k], state.v_w[k]),
-            (net.biases[k], grads.biases[k], state.m_b[k], state.v_b[k]),
-        ):
-            if grad.shape != param.shape:
-                raise ValueError(f"gradient shape {grad.shape} != parameter shape {param.shape}")
-            m *= b1
-            m += (1.0 - b1) * grad
-            v *= b2
-            v += (1.0 - b2) * grad * grad
-            param -= lr * (m / corr1) / (np.sqrt(v / corr2) + state.eps)
+    m, v, step, denom = state.m, state.v, state._step, state._denom
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=step)
+    m += step
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=step)
+    step *= g
+    v += step
+    np.divide(m, corr1, out=step)
+    step *= lr
+    np.divide(v, corr2, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += state.eps
+    step /= denom
+    net.params -= step
 
 
 def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
     """target <- tau * source + (1 - tau) * target, parameter-wise."""
-    for t_arr, s_arr in zip(target.weights + target.biases, source.weights + source.biases):
-        t_arr *= 1.0 - tau
-        t_arr += tau * s_arr
+    target.params *= 1.0 - tau
+    target.params += tau * source.params
 
 
 def save_weights(net: Mlp, path) -> None:
@@ -213,10 +284,7 @@ def save_weights(net: Mlp, path) -> None:
         f.write(struct.pack("<I", net.n_layers))
         f.write(struct.pack(f"<{net.n_layers + 1}I", *net.layer_dims))
         f.write(struct.pack("B", _ACTIVATION_TAGS[net.output_activation]))
-        for w in net.weights:
-            f.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        for b in net.biases:
-            f.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        f.write(net.params.astype("<f8", copy=False).tobytes())
 
 
 def load_weights(path, expected_dims=None) -> Mlp:
@@ -244,7 +312,7 @@ def load_weights(path, expected_dims=None) -> Mlp:
         raise WeightsFormatError(f"unknown activation tag {tag}")
     if expected_dims is not None and dims != list(expected_dims):
         raise WeightsShapeError(f"expected layer dims {list(expected_dims)}, file has {dims}")
-    n_params = sum(o * i for i, o in zip(dims[:-1], dims[1:])) + sum(dims[1:])
+    n_params = _param_count(dims)
     payload = data[offset:]
     if len(payload) < 8 * n_params:
         raise WeightsTruncatedError(
@@ -252,13 +320,5 @@ def load_weights(path, expected_dims=None) -> Mlp:
         )
     if len(payload) > 8 * n_params:
         raise WeightsFormatError(f"{len(payload) - 8 * n_params} trailing bytes after payload")
-    flat = np.frombuffer(payload, dtype="<f8").astype(float)
-    weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in).copy())
-        pos += fan_out * fan_in
-    for fan_out in dims[1:]:
-        biases.append(flat[pos : pos + fan_out].copy())
-        pos += fan_out
-    return Mlp(dims, weights, biases, _TAG_ACTIVATIONS[tag])
+    params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    return Mlp.from_params(dims, params, _TAG_ACTIVATIONS[tag])

@@ -192,7 +192,8 @@ class TestReplayBuffer:
         for i in range(5):
             buf.push(*self._t(i))
         assert len(buf) == 2
-        stored = sorted(item[2] for item in buf._storage)
+        _, _, rewards, _ = buf.sample(len(buf))
+        stored = sorted(rewards.tolist())
         assert stored == [3.0, 4.0]
 
     def test_sample_without_replacement_within_batch(self):

@@ -154,6 +154,48 @@ class TestBackward:
         assert batch_input.shape == (4, 3)
 
 
+class TestFlatLayout:
+    def test_params_are_weights_then_biases_row_major(self):
+        net = Mlp.init([3, 4, 2], "tanh", np.random.default_rng(15))
+        expected = np.concatenate([w.ravel() for w in net.weights] + list(net.biases))
+        assert np.array_equal(net.params, expected)
+        net.weights[1][1, 2] = 7.0
+        assert net.params[12 + 4 + 2] == 7.0  # a view, not a copy
+
+    def test_weight_file_payload_is_params(self, tmp_path):
+        net = Mlp.init([3, 4, 2], "tanh", np.random.default_rng(16))
+        path = tmp_path / "w.bin"
+        save_weights(net, path)
+        assert path.read_bytes()[-8 * net.params.size:] == net.params.astype("<f8").tobytes()
+
+    def test_clone_owns_its_params(self):
+        net = Mlp.init([3, 4, 2], "tanh", np.random.default_rng(17))
+        copy = net.clone()
+        copy.params[:] = 0.0
+        assert not np.array_equal(net.params, copy.params)
+
+    def test_gradients_are_views_into_one_buffer(self):
+        net = Mlp.init([3, 5, 2], "tanh", np.random.default_rng(18))
+        tape = GradientTape()
+        net.forward(np.random.default_rng(19).uniform(-1, 1, (4, 3)), tape)
+        grads, _ = net.backward(tape, np.ones((4, 2)))
+        expected = np.concatenate([g.ravel() for g in grads.weights] + list(grads.biases))
+        assert np.array_equal(grads.flat, expected)
+
+    def test_input_gradient_alone_matches_full_backward(self):
+        net = Mlp.init([6, 8, 8, 1], "identity", np.random.default_rng(20))
+        tape = GradientTape()
+        net.forward(np.random.default_rng(21).uniform(-1, 1, (5, 6)), tape)
+        _, full = net.backward(tape, np.full((5, 1), 0.2))
+        grads, alone = net.backward(tape, np.full((5, 1), 0.2), param_grads=False)
+        assert grads is None
+        assert np.array_equal(full, alone)
+
+    def test_wrong_weight_shape_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            Mlp([2, 3], [np.zeros((2, 3))], [np.zeros(3)], "tanh")
+
+
 class TestAdam:
     def test_zero_gradients_do_not_move_parameters(self):
         net = Mlp.init([3, 4, 2], "tanh", np.random.default_rng(8))
