@@ -285,3 +285,51 @@ class TestSummaryCsv:
         assert lines[0] == "function,algorithm,median,mean,std,improvement_pct,wins,losses,p_value"
         for line in lines[1:]:
             assert len(line.split(",")) == 9
+
+
+class TestModelContract:
+    """A model is checked against the run that loads it, key by key."""
+
+    @staticmethod
+    def _model(variant="pso", **meta_overrides):
+        from rlapso.ddpg import ActorPolicy, DdpgAgent, action_width
+
+        actor = DdpgAgent(action_width(variant), seed=3).actor
+        meta = {"mode": "absolute", "variant": variant, "subgroups": "5",
+                "state_width": "15", "action_width": str(action_width(variant))}
+        meta.update(meta_overrides)
+        return ActorPolicy(actor), meta
+
+    def test_matching_sidecar_runs(self):
+        rec = run_single("rlam-absolute", "sphere", 2, 1, 100, 1, particles=8,
+                         model=self._model())
+        assert rec.adapter == "rlam-absolute"
+
+    def test_clpso_trained_model_rejected_for_rlam(self, tmp_path):
+        from rlapso.ddpg import DdpgAgent, action_width, save_model
+
+        path = tmp_path / "clpso.bin"
+        save_model(DdpgAgent(action_width("clpso"), seed=4).actor, path, mode="absolute",
+                   variant="clpso", pool=["sphere"], episodes=1, seed=4)
+        with pytest.raises(ValueError, match="variant=clpso"):
+            run_single("rlam-absolute", "sphere", 2, 1, 100, 1, particles=8, model=path)
+
+    def test_mode_mismatch_rejected_for_rlpso(self):
+        with pytest.raises(ValueError, match="mode=relative"):
+            run_single("rlpso", "sphere", 2, 1, 100, 1, particles=8,
+                       model=self._model("rlpso", mode="relative"))
+
+    def test_subgroups_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="subgroups=4"):
+            run_single("rlam-absolute", "sphere", 2, 1, 100, 1, particles=8,
+                       model=self._model(subgroups="4"))
+
+    def test_state_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="state_width=16"):
+            run_single("rlam-absolute", "sphere", 2, 1, 100, 1, particles=8,
+                       model=self._model(state_width="16"))
+
+    def test_action_width_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="action_width=25"):
+            run_single("rlam-relative", "sphere", 2, 1, 100, 1, particles=8,
+                       model=self._model(mode="relative", action_width="25"))
