@@ -99,22 +99,26 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_bench() -> int:
-    checks = 0
+    labels, failed = [], []
 
-    def ok(label):
-        nonlocal checks
-        checks += 1
-        print(f"bench: {label}: ok")
+    def check(label, passed):
+        labels.append(label)
+        if passed:
+            print(f"bench: {label}: ok")
+        else:
+            print(f"bench: {label}: FAILED", file=sys.stderr)
+            failed.append(label)
 
+    passed = True
     for fn in FUNCTIONS:
         obj = make_objective(fn, 2, seed=99)
         if fn != "composition":
-            assert abs(obj.evaluate(obj.shift) - obj.bias) < 1e-9, fn
-        err = np.abs(obj.rotation.T @ obj.rotation - np.eye(2)).max()
-        assert err < 1e-9, fn
-    ok("objectives hit their bias at the shift, rotations orthogonal")
+            passed &= abs(obj.evaluate(obj.shift) - obj.bias) < 1e-9
+        passed &= np.abs(obj.rotation.T @ obj.rotation - np.eye(2)).max() < 1e-9
+    check("objectives hit their bias at the shift, rotations orthogonal", passed)
 
     obj = make_objective("sphere", 2, seed=5)
+    passed = True
     for variant in ("pso", "clpso", "rlpso"):
         swarm = Swarm(obj, 10, 400, seed=3, variant=variant)
         best = swarm.gbest_fit
@@ -125,30 +129,32 @@ def _cmd_bench() -> int:
                 swarm.clpso_step(0.7, 1.494)
             else:
                 swarm.rlpso_step([ddpg.map_action_rlpso(np.zeros(5))] * 5)
-            assert swarm.gbest_fit <= best
+            passed &= swarm.gbest_fit <= best
             best = swarm.gbest_fit
-        assert swarm.eval_count == swarm.eval_budget
-        assert np.all(swarm.positions >= obj.lower) and np.all(swarm.positions <= obj.upper)
-    ok("all step variants keep monotone gbest, bounds, and the budget")
+        passed &= swarm.eval_count == swarm.eval_budget
+        passed &= bool(np.all(swarm.positions >= obj.lower) and np.all(swarm.positions <= obj.upper))
+    check("all step variants keep monotone gbest, bounds, and the budget", passed)
 
     agent = DdpgAgent(action_width("pso"), seed=11)
     rec1 = ddpg.adapted_run(agent, obj, "pso", "absolute", 400, seed=8, n_particles=10)
     rec2 = ddpg.adapted_run(agent, obj, "pso", "absolute", 400, seed=8, n_particles=10)
-    assert rec1.curve == rec2.curve
-    ok("adapted runs are deterministic")
+    check("adapted runs are deterministic", rec1.curve == rec2.curve)
 
     stat, p = harness.wilcoxon_signed_rank([1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 0])
-    assert stat == 0.0 and abs(p - 0.03125) < 1e-12
-    ok("wilcoxon matches the all-positive exact case")
+    check("wilcoxon matches the all-positive exact case", stat == 0.0 and abs(p - 0.03125) < 1e-12)
 
     rng = np.random.default_rng(0)
+    passed = True
     for _ in range(200):
         c = ddpg.map_action_absolute(rng.uniform(-1, 1, 4))
-        assert 0.1 - 1e-12 <= c.w <= 0.9 + 1e-12
-        assert c.c1 >= 0 and c.c2 >= 0 and c.c1 + c.c2 <= 8 + 1e-3
-    ok("absolute action mapping stays in range")
+        passed &= 0.1 - 1e-12 <= c.w <= 0.9 + 1e-12
+        passed &= c.c1 >= 0 and c.c2 >= 0 and c.c1 + c.c2 <= 8 + 1e-3
+    check("absolute action mapping stays in range", passed)
 
-    print(f"bench: {checks} checks passed")
+    if failed:
+        print(f"bench: {len(failed)} checks failed", file=sys.stderr)
+        return 2
+    print(f"bench: {len(labels)} checks passed")
     return 0
 
 
@@ -169,7 +175,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_bench()
-    except (OSError, ValueError, ConfigError, AssertionError) as exc:
+    except (OSError, ValueError, ConfigError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,8 +1,14 @@
 """CLI subcommands, exit codes, and file outputs (run in-process)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rlapso
 from rlapso.cli import main
 from rlapso.harness import read_curve_csv
 
@@ -134,3 +140,15 @@ class TestBench:
         assert main(["bench"]) == 0
         out = capsys.readouterr().out
         assert "checks passed" in out
+
+    def test_failed_check_exits_nonzero_under_optimize(self):
+        # python -O strips assert statements; the bench checks must not rely on them
+        env = dict(os.environ, PYTHONPATH=str(Path(rlapso.__file__).resolve().parents[1]))
+        code = ("import sys; from rlapso import cli, harness; "
+                "harness.wilcoxon_signed_rank = lambda x, y: (1.0, 0.5); "
+                "sys.exit(cli.main(['bench']))")
+        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 2
+        assert "wilcoxon matches the all-positive exact case: FAILED" in done.stderr
+        assert "adapted runs are deterministic: ok" in done.stdout
