@@ -103,6 +103,11 @@ class Gradients:
         self.flat = flat
         self.weights, self.biases = _layer_views(flat, layer_dims)
 
+    @classmethod
+    def like(cls, net: "Mlp") -> "Gradients":
+        """An uninitialized gradient buffer laid out like ``net.params``."""
+        return cls(np.empty_like(net.params), net.layer_dims)
+
 
 class Mlp:
     """Dense network whose parameters live in one contiguous float64 vector.
@@ -178,12 +183,14 @@ class Mlp:
             tape.output = a
         return a[0] if single else a
 
-    def backward(self, tape: GradientTape, output_grad,
-                 param_grads: bool = True) -> tuple[Gradients | None, np.ndarray]:
+    def backward(self, tape: GradientTape, output_grad, param_grads: bool = True,
+                 out: Gradients | None = None) -> tuple[Gradients | None, np.ndarray]:
         """Backpropagate ``output_grad`` through the cached forward pass.
 
         Returns parameter gradients (summed over the batch) and the gradient
         with respect to the network input, shaped like the forward input.
+        The parameter gradients are written into ``out`` when given (a
+        ``Gradients.like(self)`` kept across calls), else into a new buffer.
         With ``param_grads=False`` only the input gradient is computed and
         the first element is None.
         """
@@ -195,7 +202,12 @@ class Mlp:
             g = g[None, :]
         if g.shape != tape.output.shape:
             raise ValueError(f"output_grad shape {g.shape} != output shape {tape.output.shape}")
-        grads = Gradients(np.empty_like(self.params), self.layer_dims) if param_grads else None
+        grads = None
+        if param_grads:
+            grads = Gradients.like(self) if out is None else out
+            if grads.flat.shape != self.params.shape:
+                raise ValueError(f"gradient buffer shape {grads.flat.shape} != "
+                                 f"parameter shape {self.params.shape}")
         upstream = g
         for k in range(self.n_layers - 1, -1, -1):
             if k == self.n_layers - 1:
@@ -265,10 +277,14 @@ def adam_update(net: Mlp, grads, state: AdamState, lr: float) -> None:
     net.params -= step
 
 
-def soft_update(target: Mlp, source: Mlp, tau: float) -> None:
-    """target <- tau * source + (1 - tau) * target, parameter-wise."""
+def soft_update(target: Mlp, source: Mlp, tau: float, scratch: np.ndarray | None = None) -> None:
+    """target <- tau * source + (1 - tau) * target, parameter-wise.
+
+    ``scratch``, a float64 vector shaped like the parameters, holds
+    ``tau * source`` so that repeated updates allocate nothing.
+    """
     target.params *= 1.0 - tau
-    target.params += tau * source.params
+    target.params += np.multiply(source.params, tau, out=scratch)
 
 
 def save_weights(net: Mlp, path) -> None:

@@ -8,6 +8,7 @@ import pytest
 from rlapso.neural import (
     AdamState,
     GradientTape,
+    Gradients,
     Mlp,
     WeightsFormatError,
     WeightsShapeError,
@@ -181,6 +182,10 @@ class TestFlatLayout:
         grads, _ = net.backward(tape, np.ones((4, 2)))
         expected = np.concatenate([g.ravel() for g in grads.weights] + list(grads.biases))
         assert np.array_equal(grads.flat, expected)
+        buffer = Gradients.like(net)
+        reused, _ = net.backward(tape, np.ones((4, 2)), out=buffer)
+        assert reused is buffer
+        assert np.array_equal(buffer.flat, grads.flat)
 
     def test_input_gradient_alone_matches_full_backward(self):
         net = Mlp.init([6, 8, 8, 1], "identity", np.random.default_rng(20))
@@ -267,12 +272,13 @@ class TestSoftUpdate:
         for b_arr, t_arr in zip(before, target.weights):
             assert np.array_equal(b_arr, t_arr)
 
-    def test_tau_half_is_midpoint(self):
+    @pytest.mark.parametrize("scratch", [None, np.empty(9)])
+    def test_tau_half_is_midpoint(self, scratch):
         rng = np.random.default_rng(12)
         source = Mlp.init([2, 3], "tanh", rng)
         target = Mlp.init([2, 3], "tanh", rng)
         expected = 0.5 * source.weights[0] + 0.5 * target.weights[0]
-        soft_update(target, source, 0.5)
+        soft_update(target, source, 0.5, scratch)
         assert np.allclose(target.weights[0], expected, rtol=0, atol=1e-12)
 
 
