@@ -68,16 +68,16 @@ def _param_count(dims) -> int:
     return sum(o * i for i, o in zip(dims[:-1], dims[1:])) + sum(dims[1:])
 
 
-def _flatten(dims, weights, biases, what: str) -> np.ndarray:
+def _flatten(dims, weights, biases) -> np.ndarray:
     """Concatenate per-layer arrays into one flat vector, checking each shape."""
     w_shapes = [(o, i) for i, o in zip(dims[:-1], dims[1:])]
     b_shapes = [(o,) for o in dims[1:]]
     if len(weights) != len(w_shapes) or len(biases) != len(b_shapes):
-        raise ValueError(f"{what}/parameter layer counts differ")
+        raise ValueError("weight/parameter layer counts differ")
     arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
     for a, shape in zip(arrays, w_shapes + b_shapes):
         if a.shape != shape:
-            raise ValueError(f"{what} shape {a.shape} != parameter shape {shape}")
+            raise ValueError(f"weight shape {a.shape} != parameter shape {shape}")
     return np.concatenate([a.ravel() for a in arrays])
 
 
@@ -119,7 +119,7 @@ class Mlp:
 
     def __init__(self, layer_dims, weights, biases, output_activation: str = "tanh"):
         dims = list(layer_dims)
-        self._bind(dims, _flatten(dims, weights, biases, "weight"), output_activation)
+        self._bind(dims, _flatten(dims, weights, biases), output_activation)
 
     @classmethod
     def from_params(cls, layer_dims, params: np.ndarray, output_activation: str) -> "Mlp":
@@ -240,20 +240,16 @@ class AdamState:
         self._denom = np.empty_like(net.params)
 
 
-def adam_update(net: Mlp, grads, state: AdamState, lr: float) -> None:
+def adam_update(net: Mlp, grads: Gradients, state: AdamState, lr: float) -> None:
     """One in-place Adam step with bias correction.
 
-    ``grads`` is a ``Gradients`` from ``backward``, or any object with
-    per-layer ``weights`` and ``biases`` lists shaped like the network's.
     Every parameter sees, in order:
     m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
     p -= lr*(m/corr1) / (sqrt(v/corr2) + eps).
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    g = getattr(grads, "flat", None)
-    if g is None:
-        g = _flatten(net.layer_dims, grads.weights, grads.biases, "gradient")
+    g = grads.flat
     if g.shape != net.params.shape:
         raise ValueError(f"gradient shape {g.shape} != parameter shape {net.params.shape}")
     state.t += 1

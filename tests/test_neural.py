@@ -205,9 +205,7 @@ class TestAdam:
     def test_zero_gradients_do_not_move_parameters(self):
         net = Mlp.init([3, 4, 2], "tanh", np.random.default_rng(8))
         snapshot = [w.copy() for w in net.weights]
-        grads = type("G", (), {})()
-        grads.weights = [np.zeros_like(w) for w in net.weights]
-        grads.biases = [np.zeros_like(b) for b in net.biases]
+        grads = Gradients(np.zeros_like(net.params), net.layer_dims)
         adam_update(net, grads, AdamState(net), lr=0.1)
         for w0, w1 in zip(snapshot, net.weights):
             assert np.array_equal(w0, w1)
@@ -215,9 +213,7 @@ class TestAdam:
     def test_constant_gradient_moves_against_its_sign(self):
         net = Mlp([1, 1], [np.array([[0.0]])], [np.zeros(1)], "identity")
         state = AdamState(net)
-        grads = type("G", (), {})()
-        grads.weights = [np.array([[2.5]])]
-        grads.biases = [np.array([-2.5])]
+        grads = Gradients(np.array([2.5, -2.5]), [1, 1])  # weight, then bias
         for _ in range(20):
             adam_update(net, grads, state, lr=0.01)
         assert net.weights[0][0, 0] < 0.0
@@ -226,9 +222,7 @@ class TestAdam:
     def test_three_steps_match_hand_arithmetic(self):
         net = Mlp([1, 1], [np.array([[0.2]])], [np.array([0.1])], "identity")
         state = AdamState(net)
-        grads = type("G", (), {})()
-        grads.weights = [np.array([[1.0]])]
-        grads.biases = [np.array([0.5])]
+        grads = Gradients(np.array([1.0, 0.5]), [1, 1])  # weight, then bias
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
 
         expect = {"w": 0.2, "b": 0.1}
@@ -247,9 +241,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         net = zero_net([2, 2])
-        grads = type("G", (), {})()
-        grads.weights = [np.zeros((3, 3))]
-        grads.biases = [np.zeros(2)]
+        grads = Gradients(np.zeros(12), [3, 3])
         with pytest.raises(ValueError, match="shape"):
             adam_update(net, grads, AdamState(net), lr=0.1)
 
