@@ -166,9 +166,10 @@ def _retain_freed_heap() -> None:
     change.  Other C libraries are left alone.
     """
     try:
-        os.confstr("CS_GNU_LIBC_VERSION")
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
         mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError, ValueError):
+    except (AttributeError, OSError, ValueError):
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int

@@ -129,24 +129,6 @@ _ADAPTER_FOR_ALGO = {
 }
 
 
-def _check_model(algorithm: str, policy, meta: dict, variant: str, mode: str) -> None:
-    """Reject a model whose actor or sidecar does not describe this run.
-
-    Sidecar keys that are absent (an in-memory model may carry none) are
-    not checked; the actor's own output width always is.
-    """
-    expected = ddpg.action_width(variant)
-    if policy.action_dim != expected:
-        raise ValueError(
-            f"model emits {policy.action_dim} action values, {algorithm} needs {expected}"
-        )
-    for key, wanted in (("mode", mode), ("variant", variant), ("subgroups", DEFAULT_SUBGROUPS),
-                        ("state_width", ddpg.STATE_WIDTH), ("action_width", expected)):
-        declared = meta.get(key)
-        if declared is not None and str(declared) != str(wanted):
-            raise ValueError(f"model sidecar has {key}={declared}, {algorithm} needs {wanted}")
-
-
 def run_single(algorithm: str, function: str, dim: int, fn_seed: int, budget: int,
                run_seed: int, particles: int = 40, model=None,
                refresh_gap: int = DEFAULT_REFRESH_GAP) -> RunRecord:
@@ -162,7 +144,17 @@ def run_single(algorithm: str, function: str, dim: int, fn_seed: int, budget: in
             variant, mode = "rlpso", "absolute"
         else:
             variant, mode = "pso", algorithm.split("-", 1)[1]
-        _check_model(algorithm, policy, meta, variant, mode)
+        expected = ddpg.action_width(variant)
+        if policy.action_dim != expected:
+            raise ValueError(
+                f"model emits {policy.action_dim} action values, {algorithm} needs {expected}"
+            )
+        # sidecar keys an in-memory model does not carry are not checked
+        for key, wanted in (("mode", mode), ("variant", variant), ("subgroups", DEFAULT_SUBGROUPS),
+                            ("state_width", ddpg.STATE_WIDTH), ("action_width", expected)):
+            declared = meta.get(key)
+            if declared is not None and str(declared) != str(wanted):
+                raise ValueError(f"model sidecar has {key}={declared}, {algorithm} needs {wanted}")
         return ddpg.adapted_run(policy, objective, variant, mode, budget, run_seed,
                                 n_particles=particles, refresh_gap=refresh_gap)
 
