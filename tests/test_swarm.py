@@ -273,6 +273,175 @@ class TestRlpsoStep:
         assert np.array_equal(swarm.velocities, np.zeros_like(swarm.velocities))
 
 
+class _Oracle:
+    """The documented per-particle draw order, replayed on copies of a swarm's
+    state with a generator cloned from the swarm's.  Counters record which
+    branches fired, so a test can show that its case reached them."""
+
+    def __init__(self, swarm):
+        self.obj = swarm.objective
+        self.n, self.dim, self.groups = swarm.n, swarm.dim, swarm.subgroup_count
+        self.budget, self.v_max = swarm.eval_budget, swarm.v_max
+        self.evals = swarm.eval_count
+        self.last_improve_eval = swarm.last_improve_eval
+        self.pos = swarm.positions.copy()
+        self.vel = swarm.velocities.copy()
+        self.pbest_pos = swarm.pbest_pos.copy()
+        self.pbest_fit = swarm.pbest_fit.copy()
+        self.gbest_pos = swarm.gbest_pos.copy()
+        self.gbest_fit = swarm.gbest_fit
+        self.stall = swarm.stall.copy()
+        self.exemplar = swarm.exemplar.copy()
+        self.rng = np.random.default_rng()
+        self.rng.bit_generator.state = swarm.rng.bit_generator.state
+        self.clamped_v = self.clamped_x = self.mutations = self.reassigned = 0
+        self.cut_short = False
+
+    def _group(self, i):
+        return min(i // (self.n // self.groups), self.groups - 1)
+
+    def _target(self, i):
+        return self.pbest_pos[self.exemplar[i], np.arange(self.dim)]
+
+    def _land(self, i, x, v):
+        low, high = x < self.obj.lower, x > self.obj.upper
+        self.clamped_x += int(np.any(low | high))
+        x[low] = self.obj.lower
+        x[high] = self.obj.upper
+        v[low | high] = 0.0
+        self.pos[i], self.vel[i] = x, v
+        self.evals += 1
+        return self.obj.evaluate(x)
+
+    def _clip(self, v):
+        self.clamped_v += int(np.any(np.abs(v) > self.v_max))
+        return np.clip(v, -self.v_max, self.v_max)
+
+    def _record(self, i, fit, m=None):
+        improved = fit < self.pbest_fit[i]
+        if improved:
+            self.pbest_fit[i] = fit
+            self.pbest_pos[i] = self.pos[i]
+        if fit < self.gbest_fit:
+            self.gbest_fit = fit
+            self.gbest_pos = self.pos[i].copy()
+        if m is not None and not improved:
+            self.stall[i] += 1
+            if self.stall[i] > m:
+                self.exemplar[i] = _oracle_assign(self.rng, self.n, self.dim, i, self.pbest_fit)
+                self.stall[i] = 0
+                self.reassigned += 1
+
+    def step(self, variant, coeffs, m=7):
+        start = self.gbest_fit
+        for i in range(self.n):
+            if self.evals >= self.budget:
+                self.cut_short = True
+                break
+            x = self.pos[i]
+            if variant == "clpso":
+                w, c = coeffs
+                r = self.rng.random(self.dim)
+                v = self._clip(w * self.vel[i] + c * r * (self._target(i) - x))
+                self._record(i, self._land(i, x + v, v), m)
+                continue
+            c = coeffs[self._group(i)]
+            r1 = self.rng.random(self.dim)
+            r2 = self.rng.random(self.dim)
+            if variant == "pso":
+                v = c.w * self.vel[i] + c.c1 * r1 * (self.pbest_pos[i] - x) \
+                    + c.c2 * r2 * (self.gbest_pos - x)
+                v = self._clip(v)
+                self._record(i, self._land(i, x + v, v))
+                continue
+            r3 = self.rng.random(self.dim)
+            v = c.w * self.vel[i] + c.c1 * r1 * (self._target(i) - x) \
+                + c.c2 * r2 * (self.gbest_pos - x) + c.c3 * r3 * (self.pbest_pos[i] - x)
+            v = self._clip(v)
+            r4 = self.rng.random()
+            if r4 < c.c4 * 0.01 * self.stall[i]:
+                self.mutations += 1
+                x = self.rng.uniform(self.obj.lower, self.obj.upper, self.dim)
+                fit = self._land(i, x, np.zeros(self.dim))
+            else:
+                fit = self._land(i, x + v, v)
+            self._record(i, fit, m)
+        improved = self.gbest_fit < start
+        if improved:
+            self.last_improve_eval = self.evals
+        return improved
+
+
+# five subgroups with distinct coefficients; w > 1 and large c's force clamping
+STRESS_COEFFS = [
+    CoefficientSet(1.4, 2.5, 0.5, 0.3, 0.0),
+    CoefficientSet(0.9, 0.4, 2.8, 1.7, 0.4),
+    CoefficientSet(1.2, 1.9, 1.9, 0.0, 1.0),
+    CoefficientSet(0.3, 3.0, 1.1, 2.2, 0.7),
+    CoefficientSet(1.7, 0.8, 2.2, 0.9, 1.0),
+]
+
+
+class TestDrawOrderOracle:
+    """10 particles in 5 subgroups at 4-D: velocities that clamp, positions
+    that leave the box, and a budget that ends inside the fourth iteration.
+    After every step the state and the generator must match the oracle bit
+    for bit, so a step that draws more or fewer numbers fails even when its
+    positions happen to agree."""
+
+    N, DIM, STEPS, TAIL = 10, 4, 4, 6
+
+    def _swarm(self, variant, seed):
+        budget = self.N * self.STEPS + self.TAIL
+        swarm = Swarm(make_objective("rastrigin_rot", self.DIM, seed), self.N, budget,
+                      seed=seed, variant=variant, subgroup_count=5)
+        # every other particle sits near a wall, flying outwards at full speed
+        side = np.where(swarm.positions[::2] < 0.0, -1.0, 1.0)
+        swarm.positions[::2] = 97.0 * side
+        swarm.velocities[::2] = swarm.v_max * side
+        swarm.stall[:] = [100, 0, 100, 40, 100, 7, 100, 3, 100, 60]
+        return swarm
+
+    def _assert_same(self, swarm, oracle):
+        assert np.array_equal(swarm.positions, oracle.pos)
+        assert np.array_equal(swarm.velocities, oracle.vel)
+        assert np.array_equal(swarm.pbest_pos, oracle.pbest_pos)
+        assert np.array_equal(swarm.pbest_fit, oracle.pbest_fit)
+        assert np.array_equal(swarm.gbest_pos, oracle.gbest_pos)
+        assert swarm.gbest_fit == oracle.gbest_fit
+        assert np.array_equal(swarm.stall, oracle.stall)
+        assert np.array_equal(swarm.exemplar, oracle.exemplar)
+        assert swarm.eval_count == oracle.evals
+        assert swarm.last_improve_eval == oracle.last_improve_eval
+        assert swarm.rng.bit_generator.state == oracle.rng.bit_generator.state
+
+    def _run(self, variant, seed, step, coeffs):
+        swarm = self._swarm(variant, seed)
+        oracle = _Oracle(swarm)
+        for _ in range(self.STEPS):
+            expected = oracle.step(variant, coeffs)
+            assert step(swarm) == expected
+            self._assert_same(swarm, oracle)
+        assert swarm.eval_count == swarm.eval_budget
+        assert oracle.cut_short and oracle.clamped_v and oracle.clamped_x
+        return oracle
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_pso(self, seed):
+        self._run("pso", seed, lambda s: s.pso_step(STRESS_COEFFS), STRESS_COEFFS)
+
+    @pytest.mark.parametrize("seed", [33, 34])
+    def test_clpso(self, seed):
+        oracle = self._run("clpso", seed, lambda s: s.clpso_step(1.6, 2.9, m=7), (1.6, 2.9))
+        assert oracle.reassigned
+
+    @pytest.mark.parametrize("seed", [35, 36])
+    def test_rlpso(self, seed):
+        oracle = self._run("rlpso", seed, lambda s: s.rlpso_step(STRESS_COEFFS, m=7),
+                           STRESS_COEFFS)
+        assert oracle.mutations and oracle.reassigned
+
+
 class TestSchedules:
     def test_linear_w_endpoints(self):
         assert schedule_coeffs("linear_dec_w", 0, 100).w == pytest.approx(0.9)
