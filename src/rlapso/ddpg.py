@@ -251,7 +251,8 @@ class DdpgAgent:
         q = self.critic.forward(np.hstack([states, actions]), tape)
         err = q - y
         critic_loss = float(np.mean(err**2))
-        grads, _ = self.critic.backward(tape, 2.0 * err / b, out=self._critic_grads)
+        grads, _ = self.critic.backward(tape, 2.0 * err / b, out=self._critic_grads,
+                                        input_grad=False)
         adam_update(self.critic, grads, self.critic_opt, self.critic_lr)
 
         # actor ascends mean Q(s, mu(s)); chain the critic's action gradient
@@ -263,7 +264,8 @@ class DdpgAgent:
         _, input_grad = self.critic.backward(critic_tape, np.full((b, 1), 1.0 / b),
                                              param_grads=False)
         action_grad = input_grad[:, self.state_dim :]
-        actor_grads, _ = self.actor.backward(actor_tape, action_grad, out=self._actor_grads)
+        actor_grads, _ = self.actor.backward(actor_tape, action_grad, out=self._actor_grads,
+                                             input_grad=False)
         np.negative(actor_grads.flat, out=actor_grads.flat)  # gradient *ascent* on the critic value
         adam_update(self.actor, actor_grads, self.actor_opt, self.actor_lr)
 

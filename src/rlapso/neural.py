@@ -184,7 +184,8 @@ class Mlp:
         return a[0] if single else a
 
     def backward(self, tape: GradientTape, output_grad, param_grads: bool = True,
-                 out: Gradients | None = None) -> tuple[Gradients | None, np.ndarray]:
+                 out: Gradients | None = None, input_grad: bool = True
+                 ) -> tuple[Gradients | None, np.ndarray | None]:
         """Backpropagate ``output_grad`` through the cached forward pass.
 
         Returns parameter gradients (summed over the batch) and the gradient
@@ -192,7 +193,8 @@ class Mlp:
         The parameter gradients are written into ``out`` when given (a
         ``Gradients.like(self)`` kept across calls), else into a new buffer.
         With ``param_grads=False`` only the input gradient is computed and
-        the first element is None.
+        the first element is None; with ``input_grad=False`` the first
+        layer's input product is skipped and the second element is None.
         """
         if tape is None or tape.output is None:
             raise RuntimeError("backward requires a forward pass recorded on the tape")
@@ -221,7 +223,10 @@ class Mlp:
             if grads is not None:
                 np.matmul(dz.T, tape.inputs[k], out=grads.weights[k])
                 dz.sum(axis=0, out=grads.biases[k])
-            upstream = dz @ self.weights[k]
+            if k > 0 or input_grad:
+                upstream = dz @ self.weights[k]
+        if not input_grad:
+            return grads, None
         return grads, (upstream[0] if single else upstream)
 
 

@@ -196,6 +196,18 @@ class TestFlatLayout:
         assert grads is None
         assert np.array_equal(full, alone)
 
+    @pytest.mark.parametrize("batch", [None, 5])
+    def test_parameter_gradients_do_not_depend_on_input_gradient(self, batch):
+        net = Mlp.init([6, 8, 8, 2], "tanh", np.random.default_rng(22))
+        shape = (6,) if batch is None else (batch, 6)
+        tape = GradientTape()
+        net.forward(np.random.default_rng(23).uniform(-1, 1, shape), tape)
+        out_grad = np.full(shape[:-1] + (2,), 0.3)
+        with_input, full = net.backward(tape, out_grad)
+        without, skipped = net.backward(tape, out_grad, input_grad=False)
+        assert skipped is None and full.shape == shape
+        assert np.array_equal(with_input.flat, without.flat)
+
     def test_wrong_weight_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             Mlp([2, 3], [np.zeros((2, 3))], [np.zeros(3)], "tanh")
