@@ -224,6 +224,7 @@ _CONFIG_KEYS = {
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the line-based ``key=value`` config format (# starts a comment)."""
     values = {}
+    set_on = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -234,6 +235,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigError(
+                f"line {lineno}: duplicate config key {key!r} (first set on line {set_on[key]})")
+        set_on[key] = lineno
         values[key] = _CONFIG_KEYS[key](value.strip())
     if "functions" not in values or "algorithms" not in values:
         raise ConfigError("config must set both 'functions' and 'algorithms'")

@@ -168,6 +168,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_config("functions=sphere\nalgorithms=pso\ncolour=red\n")
 
+    def test_duplicate_key_rejected_with_both_lines(self):
+        text = "functions=sphere\nruns = 3\n# again\nalgorithms=pso\nruns = 5\n"
+        with pytest.raises(ConfigError, match=r"line 5: duplicate config key 'runs' "
+                                              r"\(first set on line 2\)"):
+            parse_config(text)
+
     def test_missing_required_keys_rejected(self):
         with pytest.raises(ConfigError, match="must set"):
             parse_config("dim=4\n")
