@@ -1,6 +1,14 @@
 """Particle swarm optimization with learned online coefficient control."""
 
-from .benchmarks import FUNCTIONS, Objective, evaluate, make_objective
+import os
+
+# The networks' matrices are tiny, so BLAS threads only add contention: pin
+# them to one before numpy is first imported.  Values the user set still win.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
+from .benchmarks import FUNCTIONS, Objective, make_objective
 from .ddpg import (
     DdpgAgent,
     RawState,
@@ -23,6 +31,6 @@ from .harness import (
 )
 from .neural import Mlp, load_weights, save_weights
 from .records import RunRecord
-from .swarm import CoefficientSet, Swarm, init_swarm, schedule_coeffs
+from .swarm import CoefficientSet, Swarm, schedule_coeffs
 
 __version__ = "0.1.0"

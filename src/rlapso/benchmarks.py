@@ -7,6 +7,7 @@ are generated deterministically from a 64-bit seed; no data files needed.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +26,24 @@ _SCHWEFEL_PEAK = _SCHWEFEL_A * np.sin(np.sqrt(np.abs(_SCHWEFEL_A)))
 _COMPOSITION_SIGMA = 20.0
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+# Weierstrass with a = 0.5, b = 3 and k = 0..20: the terms a**k and
+# 2*pi * b**k, and the value of the sum at the centre
+_WEIERSTRASS_AK = _frozen(0.5 ** np.arange(21))
+_WEIERSTRASS_FREQ = _frozen(_TWO_PI * 3.0 ** np.arange(21))
+_WEIERSTRASS_CENTER = (_WEIERSTRASS_AK * np.cos(_WEIERSTRASS_FREQ * 0.5)).sum()
+
+
+@functools.cache
+def _griewank_roots(d: int) -> np.ndarray:
+    """sqrt(1), ..., sqrt(d), shared read-only by every call at dimension d."""
+    return _frozen(np.sqrt(1.0 + np.arange(d)))
+
+
 def _sphere(z: np.ndarray) -> float:
     return float(z @ z)
 
@@ -36,52 +55,48 @@ def _elliptic(z: np.ndarray) -> float:
 
 
 def _bent_cigar(z: np.ndarray) -> float:
-    return float(z[0] * z[0] + 1e6 * np.sum(z[1:] * z[1:]))
+    return float(z[0] * z[0] + 1e6 * (z[1:] * z[1:]).sum())
 
 
 def _discus(z: np.ndarray) -> float:
-    return float(1e6 * z[0] * z[0] + np.sum(z[1:] * z[1:]))
+    return float(1e6 * z[0] * z[0] + (z[1:] * z[1:]).sum())
 
 
 def _diff_powers(z: np.ndarray) -> float:
     d = z.size
     exponents = 2.0 + 4.0 * np.arange(d) / (d - 1)
-    return float(np.sqrt(np.sum(np.abs(z) ** exponents)))
+    return float(np.sqrt((np.abs(z) ** exponents).sum()))
 
 
 def _rosenbrock(z: np.ndarray) -> float:
     # classic domain is ~[-2, 2]; pre-scale, then move the optimum to z = 0
     y = (2.048 / 100.0) * z + 1.0
-    return float(np.sum(100.0 * (y[:-1] ** 2 - y[1:]) ** 2 + (y[:-1] - 1.0) ** 2))
+    return float((100.0 * (y[:-1] ** 2 - y[1:]) ** 2 + (y[:-1] - 1.0) ** 2).sum())
 
 
 def _ackley(z: np.ndarray) -> float:
     d = z.size
     rms = math.sqrt(float(z @ z) / d)
-    mean_cos = float(np.sum(np.cos(_TWO_PI * z))) / d
+    mean_cos = float(np.cos(_TWO_PI * z).sum()) / d
     return -20.0 * math.exp(-0.2 * rms) - math.exp(mean_cos) + 20.0 + math.e
 
 
 def _weierstrass(z: np.ndarray) -> float:
     y = (0.5 / 100.0) * z
-    k = np.arange(21)
-    ak = 0.5 ** k
-    bk = 3.0 ** k
-    inner = (ak * np.cos(_TWO_PI * bk * (y[:, None] + 0.5))).sum(axis=1)
-    center = (ak * np.cos(_TWO_PI * bk * 0.5)).sum()
-    return float(np.sum(inner - center))
+    inner = (_WEIERSTRASS_AK * np.cos(_WEIERSTRASS_FREQ * (y[:, None] + 0.5))).sum(axis=1)
+    return float((inner - _WEIERSTRASS_CENTER).sum())
 
 
 def _griewank(z: np.ndarray) -> float:
     y = 6.0 * z  # classic domain is [-600, 600]
     s = float(y @ y) / 4000.0
-    p = float(np.prod(np.cos(y / np.sqrt(1.0 + np.arange(y.size)))))
+    p = float(np.cos(y / _griewank_roots(y.size)).prod())
     return s - p + 1.0
 
 
 def _rastrigin(z: np.ndarray) -> float:
     y = (5.12 / 100.0) * z
-    return float(np.sum(y * y - 10.0 * np.cos(_TWO_PI * y) + 10.0))
+    return float((y * y - 10.0 * np.cos(_TWO_PI * y) + 10.0).sum())
 
 
 def _schwefel(z: np.ndarray) -> float:
@@ -94,7 +109,7 @@ def _schwefel(z: np.ndarray) -> float:
     nm = np.mod(-y, 500.0)
     g_lo = (nm - 500.0) * np.sin(np.sqrt(np.abs(500.0 - nm))) - (y + 500.0) ** 2 / (10000.0 * d)
     g = np.where(ay <= 500.0, g_in, 0.0) + np.where(y > 500.0, g_hi, 0.0) + np.where(y < -500.0, g_lo, 0.0)
-    return float(np.sum(_SCHWEFEL_PEAK - g))
+    return float((_SCHWEFEL_PEAK - g).sum())
 
 
 @dataclass(frozen=True)
@@ -175,11 +190,12 @@ class Objective:
     def _evaluate_composition(self, x: np.ndarray) -> float:
         shifts = (self.shift, *self.extra_shifts)
         rotations = (self.rotation, *self.extra_rotations)
-        sq = np.array([float((x - o) @ (x - o)) for o in shifts])
+        diffs = [x - o for o in shifts]
+        sq = np.array([float(d @ d) for d in diffs])
         weights = np.exp(-sq / (2.0 * self.dim * _COMPOSITION_SIGMA**2))
         weights /= weights.sum()
         values = np.array(
-            [raw(m @ (x - o)) for raw, o, m in zip(_COMPOSITION_PARTS, shifts, rotations)]
+            [raw(m @ d) for raw, d, m in zip(_COMPOSITION_PARTS, diffs, rotations)]
         )
         return float(weights @ values) + self.bias
 
@@ -207,11 +223,3 @@ def make_objective(function_id: str, dim: int, seed: int) -> Objective:
         )
     rotation = _gram_schmidt_rotation(rng, dim) if spec.rotated else np.eye(dim)
     return Objective(function_id, dim, LOWER, UPPER, shift, rotation, spec.bias, seed)
-
-
-def evaluate(obj: Objective, x) -> float:
-    return obj.evaluate(x)
-
-
-def function_ids() -> list[str]:
-    return list(FUNCTIONS)

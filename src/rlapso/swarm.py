@@ -14,6 +14,24 @@ each ``rng.random(dim)``), then for RLPSO one scalar mutation draw and, when
 it fires, one ``rng.uniform`` position redraw; exemplar reassignment draws
 follow evaluation.  Initialization draws positions then velocities as single
 ``(n, dim)`` uniform blocks, then assigns exemplars particle by particle.
+
+The steps take these numbers in fewer, larger draws that yield the same
+stream, because ``rng.random`` fills its output in C order from one
+sequence of doubles:
+
+- PSO draws nothing between particles, so one ``rng.random((k, 2, dim))``
+  per iteration, where k is the number of particles the budget still
+  covers, gives particle i its r1 in ``[i, 0]`` and its r2 in ``[i, 1]``.
+  Each particle's own position, velocity and pbest cannot change before its
+  turn, so its inertia and cognitive terms are computed for all k at once;
+  the social term reads the current gbest inside the particle loop.
+- RLPSO draws ``rng.random(3 * dim + 1)`` per particle: r1, r2, r3 and the
+  mutation draw, in that order.  Its and CLPSO's draws stay per particle,
+  because exemplar reassignment draws follow each evaluation.
+
+Every update keeps the original operations and their association, e.g.
+``(w*v + (c1*r1)*(p - x)) + (c2*r2)*(g - x)``, so results are bit-identical
+to the per-particle form that the tests replay.
 """
 from __future__ import annotations
 
@@ -92,6 +110,9 @@ class Swarm:
         self.subgroup_count = subgroup_count
         self.rng = np.random.default_rng(seed)
         self.v_max = V_MAX_FRACTION * (objective.upper - objective.lower)
+        # contiguous subgroups of n // subgroup_count, the remainder joining the last
+        self._group = np.minimum(np.arange(n) // (n // subgroup_count), subgroup_count - 1)
+        self._dims = np.arange(self.dim)
 
         self.positions = self.rng.uniform(objective.lower, objective.upper, (n, self.dim))
         self.velocities = self.rng.uniform(-self.v_max, self.v_max, (n, self.dim))
@@ -110,8 +131,7 @@ class Swarm:
                 self.assign_exemplar(i)
 
     def group_of(self, i: int) -> int:
-        base = self.n // self.subgroup_count
-        return min(i // base, self.subgroup_count - 1)
+        return int(self._group[i])
 
     # -- exemplar machinery -------------------------------------------------
 
@@ -144,7 +164,7 @@ class Swarm:
         return row
 
     def _exemplar_target(self, i: int) -> np.ndarray:
-        return self.pbest_pos[self.exemplar[i], np.arange(self.dim)]
+        return self.pbest_pos[self.exemplar[i], self._dims]
 
     # -- shared step plumbing -----------------------------------------------
 
@@ -154,13 +174,21 @@ class Swarm:
                 f"evaluation budget {self.eval_budget} exhausted (eval_count={self.eval_count})"
             )
 
+    def _fly(self, i: int, v: np.ndarray) -> float:
+        """Clamp velocity ``v`` to the speed limit in place, then land particle
+        i at its position plus ``v``."""
+        np.maximum(v, -self.v_max, out=v)
+        np.minimum(v, self.v_max, out=v)
+        return self._land(i, self.positions[i] + v, v)
+
     def _land(self, i: int, x: np.ndarray, v: np.ndarray) -> float:
         """Clamp to bounds (zeroing clamped velocity components), store, evaluate."""
-        low = x < self.objective.lower
-        high = x > self.objective.upper
-        x[low] = self.objective.lower
-        x[high] = self.objective.upper
-        v[low | high] = 0.0
+        lower, upper = self.objective.lower, self.objective.upper
+        out = (x < lower) | (x > upper)
+        if out.any():
+            np.maximum(x, lower, out=x)
+            np.minimum(x, upper, out=x)
+            v[out] = 0.0
         self.positions[i] = x
         self.velocities[i] = v
         fit = self.objective.evaluate(x)
@@ -197,18 +225,16 @@ class Swarm:
             )
         self._require_budget()
         start_best = self.gbest_fit
-        for i in range(self.n):
-            if self.eval_count >= self.eval_budget:
-                break
-            c = coeffs_per_group[self.group_of(i)]
-            x = self.positions[i]
-            r1 = self.rng.random(self.dim)
-            r2 = self.rng.random(self.dim)
-            v = c.w * self.velocities[i] + c.c1 * r1 * (self.pbest_pos[i] - x) \
-                + c.c2 * r2 * (self.gbest_pos - x)
-            v = np.clip(v, -self.v_max, self.v_max)
-            fit = self._land(i, x + v, v)
-            self._record(i, fit)
+        k = min(self.n, self.eval_budget - self.eval_count)
+        coeffs = np.array([(c.w, c.c1, c.c2) for c in coeffs_per_group])[self._group[:k]]
+        r = self.rng.random((k, 2, self.dim))
+        x = self.positions[:k]
+        own = coeffs[:, 0:1] * self.velocities[:k] \
+            + (coeffs[:, 1:2] * r[:, 0]) * (self.pbest_pos[:k] - x)
+        social = coeffs[:, 2:3] * r[:, 1]
+        for i in range(k):
+            v = own[i] + social[i] * (self.gbest_pos - self.positions[i])
+            self._record(i, self._fly(i, v))
         return self._finish_iteration(start_best)
 
     def clpso_step(self, w: float, c: float, m: int = DEFAULT_REFRESH_GAP) -> bool:
@@ -217,15 +243,10 @@ class Swarm:
             raise ValueError("refreshing gap must be >= 1")
         self._require_budget()
         start_best = self.gbest_fit
-        for i in range(self.n):
-            if self.eval_count >= self.eval_budget:
-                break
-            x = self.positions[i]
+        for i in range(min(self.n, self.eval_budget - self.eval_count)):
             r = self.rng.random(self.dim)
-            v = w * self.velocities[i] + c * r * (self._exemplar_target(i) - x)
-            v = np.clip(v, -self.v_max, self.v_max)
-            fit = self._land(i, x + v, v)
-            if not self._record(i, fit):
+            v = w * self.velocities[i] + c * r * (self._exemplar_target(i) - self.positions[i])
+            if not self._record(i, self._fly(i, v)):
                 self.stall[i] += 1
                 if self.stall[i] > m:
                     self.assign_exemplar(i)
@@ -242,31 +263,21 @@ class Swarm:
             raise ValueError("refreshing gap must be >= 1")
         self._require_budget()
         start_best = self.gbest_fit
-        for i in range(self.n):
-            if self.eval_count >= self.eval_budget:
-                break
-            c = coeffs_per_group[self.group_of(i)]
+        d = self.dim
+        for i in range(min(self.n, self.eval_budget - self.eval_count)):
+            c = coeffs_per_group[self._group[i]]
             x = self.positions[i]
-            r1 = self.rng.random(self.dim)
-            r2 = self.rng.random(self.dim)
-            r3 = self.rng.random(self.dim)
-            v = c.w * self.velocities[i] + c.c1 * r1 * (self._exemplar_target(i) - x) \
-                + c.c2 * r2 * (self.gbest_pos - x) + c.c3 * r3 * (self.pbest_pos[i] - x)
-            v = np.clip(v, -self.v_max, self.v_max)
-            r4 = self.rng.random()
-            if r4 < c.c4 * 0.01 * self.stall[i]:
-                x = self.rng.uniform(self.objective.lower, self.objective.upper, self.dim)
-                v = np.zeros(self.dim)
-                fit = self._land(i, x, v)
+            r = self.rng.random(3 * d + 1)
+            v = c.w * self.velocities[i] + c.c1 * r[:d] * (self._exemplar_target(i) - x) \
+                + c.c2 * r[d:2 * d] * (self.gbest_pos - x) \
+                + c.c3 * r[2 * d:3 * d] * (self.pbest_pos[i] - x)
+            if r[3 * d] < c.c4 * 0.01 * self.stall[i]:
+                x = self.rng.uniform(self.objective.lower, self.objective.upper, d)
+                fit = self._land(i, x, np.zeros(d))
             else:
-                fit = self._land(i, x + v, v)
+                fit = self._fly(i, v)
             if not self._record(i, fit):
                 self.stall[i] += 1
                 if self.stall[i] > m:
                     self.assign_exemplar(i)
         return self._finish_iteration(start_best)
-
-
-def init_swarm(objective: Objective, n: int, budget: int, seed: int,
-               variant: str = "pso", subgroup_count: int = DEFAULT_SUBGROUPS) -> Swarm:
-    return Swarm(objective, n, budget, seed, variant=variant, subgroup_count=subgroup_count)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rlapso.benchmarks import FUNCTIONS, Objective, evaluate, make_objective
+from rlapso.benchmarks import FUNCTIONS, Objective, make_objective
 
 NON_COMPOSITION = [fn for fn in FUNCTIONS if fn != "composition"]
 
@@ -58,11 +58,6 @@ class TestMakeObjective:
         obj = make_objective("sphere", 4, 3)
         with pytest.raises(ValueError, match="length 4"):
             obj.evaluate(np.zeros(5))
-
-    def test_module_level_evaluate_matches_method(self):
-        obj = make_objective("discus", 6, 8)
-        x = obj.shift + 0.5
-        assert evaluate(obj, x) == obj.evaluate(x)
 
 
 class TestInvariants:

@@ -152,3 +152,22 @@ class TestBench:
         assert done.returncode == 2
         assert "wilcoxon matches the all-positive exact case: FAILED" in done.stderr
         assert "adapted runs are deterministic: ok" in done.stdout
+
+
+class TestBlasThreads:
+    _VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+    def _threads_seen(self, **preset):
+        env = {k: v for k, v in os.environ.items() if k not in self._VARS}
+        env.update(preset, PYTHONPATH=str(Path(rlapso.__file__).resolve().parents[1]))
+        code = ("import os, sys, rlapso; assert 'numpy' in sys.modules; "
+                f"print(','.join(os.environ[v] for v in {self._VARS!r}))")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        return done.stdout.strip().split(",")
+
+    def test_unset_thread_counts_default_to_one(self):
+        assert self._threads_seen() == ["1", "1", "1"]
+
+    def test_explicit_thread_counts_win(self):
+        assert self._threads_seen(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="3") == ["3", "2", "1"]

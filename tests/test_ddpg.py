@@ -25,33 +25,33 @@ from rlapso.ddpg import (
     train,
 )
 from rlapso.neural import soft_update
-from rlapso.swarm import CoefficientSet, Swarm, init_swarm
+from rlapso.swarm import CoefficientSet, Swarm
 
 
 class TestObserve:
     def test_collapsed_swarm_has_zero_diversity(self):
-        swarm = init_swarm(flat_objective(3), 6, 1000, seed=1, subgroup_count=1)
+        swarm = Swarm(flat_objective(3), 6, 1000, seed=1, subgroup_count=1)
         swarm.positions[:] = np.array([1.0, -2.0, 3.0])
         assert observe(swarm).diversity_norm == 0.0
 
     def test_two_particles_one_dimension_hand_value(self):
         # particles at 0 and 2: centroid 1, mean distance 1, diagonal 200
-        swarm = init_swarm(flat_objective(1), 2, 1000, seed=2, subgroup_count=1)
+        swarm = Swarm(flat_objective(1), 2, 1000, seed=2, subgroup_count=1)
         swarm.positions[:] = np.array([[0.0], [2.0]])
         assert observe(swarm).diversity_norm == 1.0 / 200.0
 
     def test_iteration_fraction_after_init(self):
-        swarm = init_swarm(flat_objective(2), 10, 500, seed=3, subgroup_count=1)
+        swarm = Swarm(flat_objective(2), 10, 500, seed=3, subgroup_count=1)
         assert observe(swarm).iteration_frac == 10 / 500
 
     def test_stagnation_zero_after_improving_iteration(self):
-        swarm = init_swarm(flat_objective(2), 10, 500, seed=4, subgroup_count=1)
+        swarm = Swarm(flat_objective(2), 10, 500, seed=4, subgroup_count=1)
         improved = swarm.pso_step([CoefficientSet(0.7, 1.5, 1.5)])
         assert improved
         assert observe(swarm).stagnation_frac == 0.0
 
     def test_stagnation_grows_when_frozen(self):
-        swarm = init_swarm(flat_objective(2), 10, 500, seed=5, subgroup_count=1)
+        swarm = Swarm(flat_objective(2), 10, 500, seed=5, subgroup_count=1)
         for _ in range(3):
             swarm.pso_step([CoefficientSet(0.0, 0.0, 0.0)])  # frozen: never improves
         assert observe(swarm).stagnation_frac == 30 / 500

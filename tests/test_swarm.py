@@ -13,7 +13,6 @@ from rlapso.swarm import (
     BudgetExhaustedError,
     CoefficientSet,
     Swarm,
-    init_swarm,
     learning_probability,
     schedule_coeffs,
 )
@@ -26,61 +25,61 @@ def const_coeffs(w, c1, c2, c3=0.0, c4=0.0, groups=1):
 class TestInit:
     def test_one_evaluation_per_particle(self):
         obj = CountingObjective(make_objective("sphere", 4, 1))
-        swarm = init_swarm(obj, 40, 10_000, seed=1)
+        swarm = Swarm(obj, 40, 10_000, seed=1)
         assert swarm.eval_count == 40
         assert obj.calls == 40
 
     def test_gbest_is_min_pbest(self):
-        swarm = init_swarm(make_objective("rastrigin", 6, 2), 12, 1000, seed=3)
+        swarm = Swarm(make_objective("rastrigin", 6, 2), 12, 1000, seed=3)
         assert swarm.gbest_fit == swarm.pbest_fit.min()
 
     def test_seed_determinism(self):
         obj = make_objective("griewank", 5, 4)
-        a = init_swarm(obj, 10, 500, seed=9)
-        b = init_swarm(obj, 10, 500, seed=9)
+        a = Swarm(obj, 10, 500, seed=9)
+        b = Swarm(obj, 10, 500, seed=9)
         assert np.array_equal(a.positions, b.positions)
         assert np.array_equal(a.velocities, b.velocities)
 
     def test_too_few_particles_rejected(self):
         with pytest.raises(ValueError, match="at least"):
-            init_swarm(make_objective("sphere", 4, 1), 3, 100, seed=0)
+            Swarm(make_objective("sphere", 4, 1), 3, 100, seed=0)
 
     def test_budget_below_population_rejected(self):
         with pytest.raises(ValueError, match="budget"):
-            init_swarm(make_objective("sphere", 4, 1), 10, 5, seed=0)
+            Swarm(make_objective("sphere", 4, 1), 10, 5, seed=0)
 
     def test_velocities_within_limits(self):
-        swarm = init_swarm(make_objective("sphere", 4, 1), 20, 1000, seed=5)
+        swarm = Swarm(make_objective("sphere", 4, 1), 20, 1000, seed=5)
         assert np.all(np.abs(swarm.velocities) <= swarm.v_max)
 
 
 class TestPsoStep:
     def test_pure_inertia_moves_by_velocity(self):
-        swarm = init_swarm(flat_objective(3), 5, 1000, seed=8, subgroup_count=1)
+        swarm = Swarm(flat_objective(3), 5, 1000, seed=8, subgroup_count=1)
         swarm.velocities[:] = 0.5  # small, so no clamping triggers
         before = swarm.positions.copy()
         swarm.pso_step(const_coeffs(1.0, 0.0, 0.0))
         assert np.array_equal(swarm.positions, before + 0.5)
 
     def test_particle_at_gbest_gets_zero_velocity(self):
-        swarm = init_swarm(flat_objective(2), 5, 1000, seed=2, subgroup_count=1)
+        swarm = Swarm(flat_objective(2), 5, 1000, seed=2, subgroup_count=1)
         # particle 0 is stepped first, before anything can move gbest
         swarm.positions[0] = swarm.gbest_pos.copy()
         swarm.pso_step(const_coeffs(0.0, 0.0, 2.0))
         assert np.array_equal(swarm.velocities[0], np.zeros(2))
 
     def test_wrong_group_count_rejected(self):
-        swarm = init_swarm(flat_objective(2), 10, 1000, seed=2, subgroup_count=5)
+        swarm = Swarm(flat_objective(2), 10, 1000, seed=2, subgroup_count=5)
         with pytest.raises(ValueError, match="coefficient sets"):
             swarm.pso_step(const_coeffs(0.5, 1.0, 1.0, groups=3))
 
     def test_budget_exhausted_raises(self):
-        swarm = init_swarm(flat_objective(2), 5, 5, seed=2, subgroup_count=1)
+        swarm = Swarm(flat_objective(2), 5, 5, seed=2, subgroup_count=1)
         with pytest.raises(BudgetExhaustedError):
             swarm.pso_step(const_coeffs(0.5, 1.0, 1.0))
 
     def test_partial_iteration_stops_at_budget(self):
-        swarm = init_swarm(flat_objective(2), 5, 8, seed=2, subgroup_count=1)
+        swarm = Swarm(flat_objective(2), 5, 8, seed=2, subgroup_count=1)
         before = swarm.positions.copy()
         swarm.pso_step(const_coeffs(0.5, 1.0, 1.0))
         assert swarm.eval_count == 8
@@ -91,7 +90,7 @@ class TestPsoStep:
         """2 particles on a 1-D centered sphere, 3 iterations, bit-exact."""
         obj = flat_objective(1)
         seed, w, c1, c2 = 123, 0.9, 2.0, 2.0
-        swarm = init_swarm(obj, 2, 1000, seed=seed, subgroup_count=1)
+        swarm = Swarm(obj, 2, 1000, seed=seed, subgroup_count=1)
 
         rng = np.random.default_rng(seed)
         pos = rng.uniform(obj.lower, obj.upper, (2, 1))
@@ -160,7 +159,7 @@ def _oracle_assign(rng, n, dim, i, pbest_fit):
 
 class TestClpsoStep:
     def test_all_own_exemplar_and_matching_pbest_gives_pure_inertia(self):
-        swarm = init_swarm(flat_objective(2), 5, 1000, seed=4, subgroup_count=1,
+        swarm = Swarm(flat_objective(2), 5, 1000, seed=4, subgroup_count=1,
                            variant="clpso")
         swarm.exemplar[:] = np.arange(5)[:, None]
         # keep everything interior so the bound clamp cannot zero velocities
@@ -171,7 +170,7 @@ class TestClpsoStep:
         assert np.array_equal(swarm.velocities, np.full((5, 2), 0.25))
 
     def test_zero_learning_coefficient_is_pure_inertia(self):
-        swarm = init_swarm(flat_objective(3), 5, 1000, seed=6, subgroup_count=1,
+        swarm = Swarm(flat_objective(3), 5, 1000, seed=6, subgroup_count=1,
                            variant="clpso")
         swarm.positions[:] = np.clip(swarm.positions, -90.0, 90.0)
         swarm.velocities[:] = -0.5
@@ -183,7 +182,7 @@ class TestClpsoStep:
         obj = flat_objective(2)
         seed, w, c, m = 321, 0.6, 1.5, 2
         n, dim = 3, 2
-        swarm = init_swarm(obj, n, 1000, seed=seed, subgroup_count=1, variant="clpso")
+        swarm = Swarm(obj, n, 1000, seed=seed, subgroup_count=1, variant="clpso")
 
         rng = np.random.default_rng(seed)
         pos = rng.uniform(obj.lower, obj.upper, (n, dim))
@@ -235,7 +234,7 @@ class TestClpsoStep:
 
 class TestRlpsoStep:
     def _frozen_swarm(self, stall_value, seed=11):
-        swarm = init_swarm(flat_objective(2), 5, 1000, seed=seed, subgroup_count=1,
+        swarm = Swarm(flat_objective(2), 5, 1000, seed=seed, subgroup_count=1,
                            variant="rlpso")
         swarm.velocities[:] = 0.0
         swarm.stall[:] = stall_value
@@ -262,7 +261,7 @@ class TestRlpsoStep:
         assert np.array_equal(swarm.velocities, np.zeros_like(swarm.velocities))
 
     def test_velocity_combines_all_three_attractors(self):
-        swarm = init_swarm(flat_objective(2), 5, 1000, seed=13, subgroup_count=1,
+        swarm = Swarm(flat_objective(2), 5, 1000, seed=13, subgroup_count=1,
                            variant="rlpso")
         swarm.velocities[:] = 0.0
         swarm.stall[:] = 0
@@ -482,7 +481,7 @@ class TestLearningProbability:
         assert learning_probability(1, 2) == 0.5
 
     def test_forced_high_draw_keeps_own_dimensions(self):
-        swarm = init_swarm(flat_objective(4), 5, 1000, seed=1, subgroup_count=1,
+        swarm = Swarm(flat_objective(4), 5, 1000, seed=1, subgroup_count=1,
                            variant="clpso")
         # u = 0.99 >= Pc for every particle: row starts all-own, then the
         # all-own fallback reassigns exactly one dimension
@@ -492,7 +491,7 @@ class TestLearningProbability:
         assert row[2] == 0  # drawn index 0 maps below i=2 unchanged
 
     def test_forced_low_draw_always_tournaments(self):
-        swarm = init_swarm(flat_objective(2), 5, 1000, seed=1, subgroup_count=1,
+        swarm = Swarm(flat_objective(2), 5, 1000, seed=1, subgroup_count=1,
                            variant="clpso")
         swarm.pbest_fit = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
         swarm.rng = ScriptedRng(randoms=[0.0, 0.0], integers=[0, 0, 3, 0])
@@ -505,7 +504,7 @@ class TestSwarmInvariants:
     @pytest.mark.parametrize("variant", ["pso", "clpso", "rlpso"])
     def test_monotone_elitism_and_bounds(self, variant, rng):
         obj = make_objective("rastrigin", 4, 10)
-        swarm = init_swarm(obj, 10, 2000, seed=14, variant=variant, subgroup_count=5)
+        swarm = Swarm(obj, 10, 2000, seed=14, variant=variant, subgroup_count=5)
         best = swarm.gbest_fit
         while swarm.eval_count < swarm.eval_budget:
             w, c1, c2 = rng.uniform(0.1, 0.9), rng.uniform(0, 3), rng.uniform(0, 3)
@@ -526,7 +525,7 @@ class TestSwarmInvariants:
 
     def test_budget_honesty_counts_every_evaluation(self):
         obj = CountingObjective(make_objective("sphere", 3, 11))
-        swarm = init_swarm(obj, 8, 100, seed=15, subgroup_count=1)
+        swarm = Swarm(obj, 8, 100, seed=15, subgroup_count=1)
         while swarm.eval_count < swarm.eval_budget:
             swarm.pso_step(const_coeffs(0.7, 1.5, 1.5))
         assert swarm.eval_count == 100
@@ -536,7 +535,7 @@ class TestSwarmInvariants:
 
     def test_pbest_consistent_with_positions(self):
         obj = make_objective("griewank", 3, 12)
-        swarm = init_swarm(obj, 8, 400, seed=16, subgroup_count=1)
+        swarm = Swarm(obj, 8, 400, seed=16, subgroup_count=1)
         for _ in range(5):
             swarm.pso_step(const_coeffs(0.7, 1.5, 1.5))
         for i in range(swarm.n):
@@ -546,7 +545,7 @@ class TestSwarmInvariants:
         obj = make_objective("ackley", 3, 13)
         runs = []
         for _ in range(2):
-            swarm = init_swarm(obj, 8, 400, seed=17, subgroup_count=1)
+            swarm = Swarm(obj, 8, 400, seed=17, subgroup_count=1)
             trace = [swarm.gbest_fit]
             for t in range(10):
                 swarm.pso_step(const_coeffs(0.9 - 0.05 * t, 1.2, 1.8))
@@ -556,7 +555,7 @@ class TestSwarmInvariants:
         assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_degenerate_coefficients_freeze_positions(self):
-        swarm = init_swarm(flat_objective(3), 6, 1000, seed=18, subgroup_count=1)
+        swarm = Swarm(flat_objective(3), 6, 1000, seed=18, subgroup_count=1)
         swarm.pso_step(const_coeffs(0.0, 0.0, 0.0))
         assert np.array_equal(swarm.velocities, np.zeros_like(swarm.velocities))
         frozen = swarm.positions.copy()
@@ -564,7 +563,7 @@ class TestSwarmInvariants:
         assert np.array_equal(swarm.positions, frozen)
 
     def test_subgroup_partition_is_contiguous_with_remainder_last(self):
-        swarm = init_swarm(flat_objective(2), 43, 1000, seed=19)
+        swarm = Swarm(flat_objective(2), 43, 1000, seed=19)
         groups = [swarm.group_of(i) for i in range(43)]
         assert groups == sorted(groups)
         sizes = [groups.count(g) for g in range(5)]
