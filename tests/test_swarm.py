@@ -160,7 +160,7 @@ def _oracle_assign(rng, n, dim, i, pbest_fit):
 class TestClpsoStep:
     def test_all_own_exemplar_and_matching_pbest_gives_pure_inertia(self):
         swarm = Swarm(flat_objective(2), 5, 1000, seed=4, subgroup_count=1,
-                           variant="clpso")
+                      variant="clpso")
         swarm.exemplar[:] = np.arange(5)[:, None]
         # keep everything interior so the bound clamp cannot zero velocities
         swarm.positions[:] = np.clip(swarm.positions, -90.0, 90.0)
@@ -171,7 +171,7 @@ class TestClpsoStep:
 
     def test_zero_learning_coefficient_is_pure_inertia(self):
         swarm = Swarm(flat_objective(3), 5, 1000, seed=6, subgroup_count=1,
-                           variant="clpso")
+                      variant="clpso")
         swarm.positions[:] = np.clip(swarm.positions, -90.0, 90.0)
         swarm.velocities[:] = -0.5
         swarm.clpso_step(0.7, 0.0, m=7)
@@ -235,7 +235,7 @@ class TestClpsoStep:
 class TestRlpsoStep:
     def _frozen_swarm(self, stall_value, seed=11):
         swarm = Swarm(flat_objective(2), 5, 1000, seed=seed, subgroup_count=1,
-                           variant="rlpso")
+                      variant="rlpso")
         swarm.velocities[:] = 0.0
         swarm.stall[:] = stall_value
         return swarm
@@ -262,7 +262,7 @@ class TestRlpsoStep:
 
     def test_velocity_combines_all_three_attractors(self):
         swarm = Swarm(flat_objective(2), 5, 1000, seed=13, subgroup_count=1,
-                           variant="rlpso")
+                      variant="rlpso")
         swarm.velocities[:] = 0.0
         swarm.stall[:] = 0
         # collapse every attractor onto the same point: velocity must stay zero
@@ -482,7 +482,7 @@ class TestLearningProbability:
 
     def test_forced_high_draw_keeps_own_dimensions(self):
         swarm = Swarm(flat_objective(4), 5, 1000, seed=1, subgroup_count=1,
-                           variant="clpso")
+                      variant="clpso")
         # u = 0.99 >= Pc for every particle: row starts all-own, then the
         # all-own fallback reassigns exactly one dimension
         swarm.rng = ScriptedRng(randoms=[0.99] * 4, integers=[2, 0])
@@ -492,7 +492,7 @@ class TestLearningProbability:
 
     def test_forced_low_draw_always_tournaments(self):
         swarm = Swarm(flat_objective(2), 5, 1000, seed=1, subgroup_count=1,
-                           variant="clpso")
+                      variant="clpso")
         swarm.pbest_fit = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
         swarm.rng = ScriptedRng(randoms=[0.0, 0.0], integers=[0, 0, 3, 0])
         row = swarm.assign_exemplar(0)
