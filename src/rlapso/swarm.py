@@ -29,9 +29,9 @@ sequence of doubles:
   mutation draw, in that order.  Its and CLPSO's draws stay per particle,
   because exemplar reassignment draws follow each evaluation.
 
-Every update keeps the original operations and their association, e.g.
-``(w*v + (c1*r1)*(p - x)) + (c2*r2)*(g - x)``, so results are bit-identical
-to the per-particle form that the tests replay.
+Every update performs the per-particle form's operations with its
+association, e.g. ``(w*v + (c1*r1)*(p - x)) + (c2*r2)*(g - x)``, so results
+are bit-identical to that form, which the tests replay.
 """
 from __future__ import annotations
 
