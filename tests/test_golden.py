@@ -1,9 +1,10 @@
 """Golden digests: SHA-256 of fixed short runs, pinned to exact bytes.
 
-Three digests cover the trained networks, every algorithm's curve CSV, and
+The digests cover the trained networks of three short trainings (absolute
+and relative ``pso``, absolute ``rlpso``), every algorithm's curve CSV, and
 the learner's parameter trajectory step by step.  A change that is meant to
-be a pure speed-up must leave all three unchanged; a change that moves any
-of them by one ulp shows here.  ``golden_digests`` is also run in fresh
+be a pure speed-up or refactor must leave all of them unchanged; a change
+that moves any of them by one ulp shows here.  ``golden_digests`` is also run in fresh
 interpreters under different BLAS thread counts, which must agree.
 """
 
@@ -23,6 +24,8 @@ from rlapso.ddpg import ActorPolicy, DdpgAgent, action_width
 
 GOLDEN = {
     "training": "a79d63cdbb3854587ef83c83731cc61705f9d6a67dd43df87e26259578ac56f5",
+    "training_relative": "7b3229ea993cc0014a6278fcba768709a45cd40237c6bff231ab802a4f724f41",
+    "training_rlpso": "1d6cac9d1b1f8c71619fced3e8cd09df2000ec4c41c75dc65aca889fdfeec998",
     "curves": "6b12071ff9f2470d2d36061246200bc2f3887188655e8874f6fca9f99653e130",
     "learner_steps": "10cacafc4941ab7d801d2fed16ff9027a052221f2687beb048da8c4513b74bee",
 }
@@ -38,13 +41,14 @@ def _networks(agent):
     return (agent.actor, agent.critic, agent.actor_target, agent.critic_target)
 
 
-def _training_digest() -> str:
+def _training_digest(mode="absolute", variant="pso", pool=("sphere", "rastrigin"),
+                     agent_seed=5, seed=9) -> str:
     """Networks and episode log after a short training run whose replay ring
     wraps (capacity 100, ~40 transitions per episode) and whose validation
     picks a snapshot every second episode."""
-    agent = DdpgAgent(action_width("pso"), seed=5, buffer_capacity=100, warmup=64)
-    log = ddpg.train(agent, ["sphere", "rastrigin"], 8, "absolute", "pso", 4,
-                     n_particles=10, budget=400, seed=9, validate_every=2)
+    agent = DdpgAgent(action_width(variant), seed=agent_seed, buffer_capacity=100, warmup=64)
+    log = ddpg.train(agent, list(pool), 8, mode, variant, 4,
+                     n_particles=10, budget=400, seed=seed, validate_every=2)
     h = hashlib.sha256()
     for net in _networks(agent):
         h.update(_param_bytes(net))
@@ -100,6 +104,9 @@ def golden_digests() -> dict:
         curves = _curves_digest(Path(tmp))
     return {
         "training": _training_digest(),
+        "training_relative": _training_digest("relative", agent_seed=6, seed=10),
+        "training_rlpso": _training_digest("absolute", "rlpso", ("rastrigin", "griewank"),
+                                           agent_seed=7, seed=11),
         "curves": curves,
         "learner_steps": _learner_steps_digest(),
     }
