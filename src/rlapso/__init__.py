@@ -30,7 +30,6 @@ from .harness import (
     wilcoxon_signed_rank,
 )
 from .neural import Mlp, load_weights, save_weights
-from .records import RunRecord
-from .swarm import CoefficientSet, Swarm, schedule_coeffs
+from .swarm import CoefficientSet, RunRecord, Swarm, drive, schedule_coeffs
 
 __version__ = "0.1.0"

@@ -38,10 +38,20 @@ _WEIERSTRASS_FREQ = _frozen(_TWO_PI * 3.0 ** np.arange(21))
 _WEIERSTRASS_CENTER = (_WEIERSTRASS_AK * np.cos(_WEIERSTRASS_FREQ * 0.5)).sum()
 
 
+# per-dimension constants, shared read-only by every call at dimension d
 @functools.cache
 def _griewank_roots(d: int) -> np.ndarray:
-    """sqrt(1), ..., sqrt(d), shared read-only by every call at dimension d."""
     return _frozen(np.sqrt(1.0 + np.arange(d)))
+
+
+@functools.cache
+def _elliptic_weights(d: int) -> np.ndarray:
+    return _frozen(10.0 ** (6.0 * np.arange(d) / (d - 1)))
+
+
+@functools.cache
+def _diff_powers_exponents(d: int) -> np.ndarray:
+    return _frozen(2.0 + 4.0 * np.arange(d) / (d - 1))
 
 
 def _sphere(z: np.ndarray) -> float:
@@ -49,9 +59,7 @@ def _sphere(z: np.ndarray) -> float:
 
 
 def _elliptic(z: np.ndarray) -> float:
-    d = z.size
-    weights = 10.0 ** (6.0 * np.arange(d) / (d - 1))
-    return float(weights @ (z * z))
+    return float(_elliptic_weights(z.size) @ (z * z))
 
 
 def _bent_cigar(z: np.ndarray) -> float:
@@ -63,9 +71,7 @@ def _discus(z: np.ndarray) -> float:
 
 
 def _diff_powers(z: np.ndarray) -> float:
-    d = z.size
-    exponents = 2.0 + 4.0 * np.arange(d) / (d - 1)
-    return float(np.sqrt((np.abs(z) ** exponents).sum()))
+    return float(np.sqrt((np.abs(z) ** _diff_powers_exponents(z.size)).sum()))
 
 
 def _rosenbrock(z: np.ndarray) -> float:
@@ -171,12 +177,14 @@ class Objective:
     seed: int
     extra_shifts: tuple = ()
     extra_rotations: tuple = ()
+    # False for the identity, whose product (exact up to the sign of a zero,
+    # which no raw function tells apart) ``evaluate`` skips
+    _rotated: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.shift.setflags(write=False)
-        self.rotation.setflags(write=False)
-        for arr in (*self.extra_shifts, *self.extra_rotations):
+        for arr in (self.shift, self.rotation, *self.extra_shifts, *self.extra_rotations):
             arr.setflags(write=False)
+        object.__setattr__(self, "_rotated", not np.array_equal(self.rotation, np.eye(self.dim)))
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -184,7 +192,9 @@ class Objective:
             raise ValueError(f"expected a vector of length {self.dim}, got shape {x.shape}")
         if self.id == "composition":
             return self._evaluate_composition(x)
-        z = self.rotation @ (x - self.shift)
+        z = x - self.shift
+        if self._rotated:
+            z = self.rotation @ z
         return FUNCTIONS[self.id].raw(z) + self.bias
 
     def _evaluate_composition(self, x: np.ndarray) -> float:

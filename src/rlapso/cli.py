@@ -14,7 +14,7 @@ from . import ddpg, harness
 from .benchmarks import FUNCTIONS, make_objective
 from .ddpg import DdpgAgent, action_width
 from .harness import ALGORITHMS, ConfigError
-from .swarm import Swarm, schedule_coeffs
+from .swarm import Schedule, Swarm, drive
 
 
 class _UsageError(Exception):
@@ -32,7 +32,7 @@ def _build_parser() -> _Parser:
 
     train = sub.add_parser("train",
                            help="train an adaptation agent and save the actor model")
-    train.add_argument("--variant", choices=("pso", "clpso", "rlpso"), default="pso")
+    train.add_argument("--variant", choices=("pso", "rlpso"), default="pso")
     train.add_argument("--mode", choices=("absolute", "relative"), default="absolute")
     train.add_argument("--functions", default=",".join(ddpg.DEFAULT_POOL),
                        help="comma-separated training pool")
@@ -119,19 +119,15 @@ def _cmd_bench() -> int:
 
     obj = make_objective("sphere", 2, seed=5)
     passed = True
-    for variant in ("pso", "clpso", "rlpso"):
+    rlpso_agent = DdpgAgent(action_width("rlpso"), seed=12)
+    for variant, controller in (("pso", Schedule("constant", "none")),
+                                ("clpso", Schedule("clpso", "linear_dec_w")),
+                                ("rlpso", ddpg.PolicyController(rlpso_agent, "absolute", "rlpso"))):
         swarm = Swarm(obj, 10, 400, seed=3, variant=variant)
-        best = swarm.gbest_fit
-        while swarm.eval_count < swarm.eval_budget:
-            if variant == "pso":
-                swarm.pso_step([schedule_coeffs("constant", 0, 1)] * 5)
-            elif variant == "clpso":
-                swarm.clpso_step(0.7, 1.494)
-            else:
-                swarm.rlpso_step([ddpg.map_action_rlpso(np.zeros(5))] * 5)
-            passed &= swarm.gbest_fit <= best
-            best = swarm.gbest_fit
-        passed &= swarm.eval_count == swarm.eval_budget
+        curve = drive(swarm, controller).curve
+        fits = [fit for _, fit in curve]
+        passed &= all(b <= a for a, b in zip(fits, fits[1:]))
+        passed &= curve[-1][0] == swarm.eval_count == swarm.eval_budget
         passed &= bool(np.all(swarm.positions >= obj.lower) and np.all(swarm.positions <= obj.upper))
     check("all step variants keep monotone gbest, bounds, and the budget", passed)
 

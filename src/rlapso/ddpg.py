@@ -22,12 +22,11 @@ import numpy as np
 from .benchmarks import make_objective
 from .neural import (AdamState, GradientTape, Gradients, Mlp, adam_update, load_weights,
                      save_weights, soft_update)
-from .records import RunRecord
-from .swarm import DEFAULT_REFRESH_GAP, DEFAULT_SUBGROUPS, CoefficientSet, Swarm, schedule_coeffs
+from .swarm import DEFAULT_SUBGROUPS, CoefficientSet, RunRecord, Swarm, drive, schedule_coeffs
 
 STATE_WIDTH = 15
 SIN_SCALES = (1.0, 2.0, 4.0, 8.0, 16.0)  # 2**i for i = 0..4
-GROUP_WIDTH = {"pso": 4, "clpso": 4, "rlpso": 5}
+GROUP_WIDTH = {"pso": 4, "rlpso": 5}
 ACTOR_HIDDEN = (64, 64)
 CRITIC_HIDDEN = (128, 128, 64, 64)
 
@@ -273,26 +272,15 @@ class DdpgAgent:
         return critic_loss, actor_objective
 
 
-def baseline_coeffs(variant: str, t: int, t_max: int) -> CoefficientSet:
-    """The coefficients the un-adapted variant would use at iteration t
-    (the origin for relative-mode adaptation)."""
-    if variant == "pso":
-        return schedule_coeffs("constant", t, t_max)
-    if variant == "clpso":
-        sched = schedule_coeffs("linear_dec_w", t, t_max)
-        return CoefficientSet(sched.w, 1.494, 0.0)
-    raise ValueError(f"no baseline coefficients for variant {variant!r}")
-
-
-def coefficient_sets(action, mode: str, variant: str, origin: CoefficientSet | None,
-                     subgroups: int = DEFAULT_SUBGROUPS) -> list[CoefficientSet]:
+def coefficient_sets(action, mode: str, variant: str,
+                     origin: CoefficientSet | None) -> list[CoefficientSet]:
     """Split a full action vector into per-subgroup slices and map each one."""
     action = np.asarray(action, dtype=float)
     width = GROUP_WIDTH[variant]
-    if action.shape != (width * subgroups,):
-        raise ValueError(f"expected action of length {width * subgroups}, got {action.shape}")
+    if action.shape != (width * DEFAULT_SUBGROUPS,):
+        raise ValueError(f"expected action of length {action_width(variant)}, got {action.shape}")
     sets = []
-    for g in range(subgroups):
+    for g in range(DEFAULT_SUBGROUPS):
         piece = action[g * width : (g + 1) * width]
         if mode == "absolute":
             sets.append(map_action_rlpso(piece) if variant == "rlpso" else map_action_absolute(piece))
@@ -305,18 +293,38 @@ def coefficient_sets(action, mode: str, variant: str, origin: CoefficientSet | N
     return sets
 
 
-def action_width(variant: str, subgroups: int = DEFAULT_SUBGROUPS) -> int:
-    return GROUP_WIDTH[variant] * subgroups
+def action_width(variant: str) -> int:
+    if variant not in GROUP_WIDTH:
+        raise ValueError(f"no policy adapts variant {variant!r}")
+    return GROUP_WIDTH[variant] * DEFAULT_SUBGROUPS
 
 
-def _swarm_iteration(swarm: Swarm, variant: str, sets, refresh_gap: int) -> None:
-    if variant == "pso":
-        swarm.pso_step(sets)
-    elif variant == "clpso":
-        # the scalar-coefficient update takes one (w, c) pair; use group 0's
-        swarm.clpso_step(sets[0].w, sets[0].c1, refresh_gap)
-    else:
-        swarm.rlpso_step(sets, refresh_gap)
+class PolicyController:
+    """Swarm controller: observe -> encode -> act -> map once per iteration,
+    relative mode perturbing the constant schedule.  ``state`` and ``action``
+    are what it last saw and chose; after ``read_state`` the next call acts on
+    that state without observing again."""
+
+    def __init__(self, policy, mode: str, variant: str, explore: bool = False):
+        self.policy = policy
+        self.mode = mode
+        self.variant = variant
+        self.explore = explore
+        self.adapter = f"rlam-{mode}"
+        self.state = self.action = None
+        self._read_at = None  # the eval_count ``state`` was read at
+
+    def read_state(self, swarm: Swarm) -> np.ndarray:
+        self.state = encode(observe(swarm))
+        self._read_at = swarm.eval_count
+        return self.state
+
+    def __call__(self, swarm: Swarm, t: int, t_max: int) -> list[CoefficientSet]:
+        if self._read_at != swarm.eval_count:
+            self.read_state(swarm)
+        self.action = self.policy.act(self.state, explore=self.explore)
+        origin = schedule_coeffs("constant", t, t_max) if self.mode == "relative" else None
+        return coefficient_sets(self.action, self.mode, self.variant, origin)
 
 
 @dataclass
@@ -332,28 +340,41 @@ _VALIDATION_SEED_BASE = 50_000
 
 
 def _validation_score(agent, pool, mode, variant, dim, n_particles, budget,
-                      refresh_gap, subgroups, n_seeds=3) -> float:
+                      n_seeds=3) -> float:
     """Greedy performance of the current actor on fresh pool instances.
 
     Mean log-error to the known optimum, so functions with different scales
     weigh equally.  Lower is better.
     """
     total = 0.0
-    count = 0
     for fi, fn_id in enumerate(pool):
         for v in range(n_seeds):
             objective = make_objective(fn_id, dim, _VALIDATION_SEED_BASE + 977 * fi + v)
             rec = adapted_run(agent, objective, variant, mode, budget,
-                              _VALIDATION_SEED_BASE + v, n_particles=n_particles,
-                              refresh_gap=refresh_gap, subgroups=subgroups)
+                              _VALIDATION_SEED_BASE + v, n_particles=n_particles)
             total += math.log10(max(rec.final_fit - objective.bias, 1e-12))
-            count += 1
-    return total / count
+    return total / (len(pool) * n_seeds)
+
+
+def _training_episode(agent: DdpgAgent, swarm: Swarm, mode: str, variant: str) -> list[float]:
+    """Drive one exploring episode, learning from each transition; returns the losses."""
+    controller = PolicyController(agent, mode, variant, explore=True)
+    threshold = max(agent.warmup, agent.batch_size)
+    losses = []
+
+    def learn(swarm, prev_best):
+        state, action = controller.state, controller.action
+        r = reward(prev_best, swarm.gbest_fit)
+        agent.buffer.push(state, action, r, controller.read_state(swarm))
+        if len(agent.buffer) >= threshold:
+            losses.append(agent.train_step()[0])
+
+    drive(swarm, controller, learn)
+    return losses
 
 
 def train(agent: DdpgAgent, pool, episodes: int, mode: str, variant: str, dim: int, *,
           n_particles: int = 40, budget: int = 10_000, seed: int = 0,
-          refresh_gap: int = DEFAULT_REFRESH_GAP, subgroups: int = DEFAULT_SUBGROUPS,
           validate_every: int = 25, log_every: int = 0) -> list[EpisodeRecord]:
     """Train the agent by looping swarm episodes over a pool of functions.
 
@@ -375,25 +396,20 @@ def train(agent: DdpgAgent, pool, episodes: int, mode: str, variant: str, dim: i
     pool = list(pool)
     if not pool:
         raise ValueError("training pool is empty")
-    if agent.action_dim != action_width(variant, subgroups):
-        raise ValueError(
-            f"agent emits {agent.action_dim} values but variant {variant!r} "
-            f"needs {action_width(variant, subgroups)}"
-        )
+    if agent.action_dim != action_width(variant):
+        raise ValueError(f"agent emits {agent.action_dim} values but variant {variant!r} "
+                         f"needs {action_width(variant)}")
     ep_rng = np.random.default_rng(seed)
-    t_max = max(1, budget // n_particles - 1)
     log: list[EpisodeRecord] = []
     best_score = math.inf
     best_actor = None
 
     def maybe_validate():
         nonlocal best_score, best_actor
-        score = _validation_score(agent, pool, mode, variant, dim, n_particles,
-                                  budget, refresh_gap, subgroups)
+        score = _validation_score(agent, pool, mode, variant, dim, n_particles, budget)
         if score < best_score:
             best_score = score
             best_actor = agent.actor.clone()
-        return score
 
     if validate_every:
         maybe_validate()  # the freshly initialized policy is a candidate too
@@ -402,29 +418,8 @@ def train(agent: DdpgAgent, pool, episodes: int, mode: str, variant: str, dim: i
         fn_seed = int(ep_rng.integers(2**63))
         swarm_seed = int(ep_rng.integers(2**63))
         objective = make_objective(fn_id, dim, fn_seed)
-        swarm = Swarm(objective, n_particles, budget, swarm_seed,
-                      variant=variant, subgroup_count=subgroups)
-        state = encode(observe(swarm))
-        prev_best = swarm.gbest_fit
-        losses = []
-        t = 0
-        while swarm.eval_count < swarm.eval_budget:
-            action = agent.act(state, explore=True)
-            sets = coefficient_sets(
-                action, mode, variant,
-                baseline_coeffs(variant, min(t, t_max), t_max) if mode == "relative" else None,
-                subgroups,
-            )
-            _swarm_iteration(swarm, variant, sets, refresh_gap)
-            r = reward(prev_best, swarm.gbest_fit)
-            prev_best = swarm.gbest_fit
-            next_state = encode(observe(swarm))
-            agent.buffer.push(state, action, r, next_state)
-            if len(agent.buffer) >= max(agent.warmup, agent.batch_size):
-                loss, _ = agent.train_step()
-                losses.append(loss)
-            state = next_state
-            t += 1
+        swarm = Swarm(objective, n_particles, budget, swarm_seed, variant=variant)
+        losses = _training_episode(agent, swarm, mode, variant)
         log.append(EpisodeRecord(ep, fn_id, fn_seed, swarm.gbest_fit,
                                  float(np.mean(losses)) if losses else float("nan")))
         if validate_every and (ep + 1) % validate_every == 0:
@@ -438,27 +433,10 @@ def train(agent: DdpgAgent, pool, episodes: int, mode: str, variant: str, dim: i
 
 
 def adapted_run(agent, objective, variant: str, mode: str, budget: int, seed: int, *,
-                n_particles: int = 40, refresh_gap: int = DEFAULT_REFRESH_GAP,
-                subgroups: int = DEFAULT_SUBGROUPS) -> RunRecord:
+                n_particles: int = 40) -> RunRecord:
     """Run one greedy (noise-free, no-learning) adapted optimization."""
-    swarm = Swarm(objective, n_particles, budget, seed,
-                  variant=variant, subgroup_count=subgroups)
-    adapter = f"rlam-{mode}"
-    record = RunRecord(objective.id, objective.dim, seed, variant, adapter)
-    record.curve.append((swarm.eval_count, swarm.gbest_fit))
-    t_max = max(1, budget // n_particles - 1)
-    t = 0
-    while swarm.eval_count < swarm.eval_budget:
-        action = agent.act(encode(observe(swarm)), explore=False)
-        sets = coefficient_sets(
-            action, mode, variant,
-            baseline_coeffs(variant, min(t, t_max), t_max) if mode == "relative" else None,
-            subgroups,
-        )
-        _swarm_iteration(swarm, variant, sets, refresh_gap)
-        record.curve.append((swarm.eval_count, swarm.gbest_fit))
-        t += 1
-    return record.close()
+    swarm = Swarm(objective, n_particles, budget, seed, variant=variant)
+    return drive(swarm, PolicyController(agent, mode, variant))
 
 
 class ActorPolicy:
@@ -474,15 +452,15 @@ class ActorPolicy:
         return np.clip(self.actor.forward(encoded_state), -1.0, 1.0)
 
 
-def save_model(actor: Mlp, path, *, mode: str, variant: str, pool, episodes: int, seed: int,
-               subgroups: int = DEFAULT_SUBGROUPS) -> None:
+def save_model(actor: Mlp, path, *, mode: str, variant: str, pool, episodes: int,
+               seed: int) -> None:
     """Persist a trained actor: binary weights plus a key=value sidecar."""
     path = Path(path)
     save_weights(actor, path)
     meta = {
         "mode": mode,
         "variant": variant,
-        "subgroups": subgroups,
+        "subgroups": DEFAULT_SUBGROUPS,
         "action_width": actor.layer_dims[-1],
         "state_width": actor.layer_dims[0],
         "pool": ",".join(pool),

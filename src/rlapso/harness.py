@@ -15,20 +15,25 @@ import numpy as np
 
 from . import ddpg
 from .benchmarks import FUNCTIONS, make_objective
-from .records import RunRecord
-from .swarm import DEFAULT_REFRESH_GAP, DEFAULT_SUBGROUPS, Swarm, schedule_coeffs
+from .swarm import DEFAULT_SUBGROUPS, RunRecord, Schedule, Swarm, drive
 
-ALGORITHMS = (
-    "pso",
-    "pso-linear",
-    "pso-tvac",
-    "clpso",
-    "rlam-absolute",
-    "rlam-relative",
-    "rlpso",
-)
+# Each algorithm's swarm variant and controller: a schedule, carrying its
+# records' adapter tag, or the mode of the trained policy that drives a
+# model-driven algorithm, whose records are tagged ``rlam-<mode>``.
+_ALGORITHM_TABLE = {
+    "pso": ("pso", Schedule("constant", "none")),
+    "pso-linear": ("pso", Schedule("linear_dec_w", "linear_dec_w")),
+    "pso-tvac": ("pso", Schedule("tvac", "tvac")),
+    "clpso": ("clpso", Schedule("clpso", "linear_dec_w")),
+    "rlam-absolute": ("pso", "absolute"),
+    "rlam-relative": ("pso", "relative"),
+    "rlpso": ("rlpso", "absolute"),
+}
+ALGORITHMS = tuple(_ALGORITHM_TABLE)
 
-_MODEL_ALGOS = ("rlam-absolute", "rlam-relative", "rlpso")
+
+def _needs_model(algorithm: str) -> bool:
+    return isinstance(_ALGORITHM_TABLE[algorithm][1], str)
 
 
 class ConfigError(ValueError):
@@ -117,33 +122,18 @@ def normalized_pairs(a_values, b_values) -> tuple[np.ndarray, np.ndarray]:
 
 # -- single runs -------------------------------------------------------------
 
-_SCHEDULE_FOR_ALGO = {"pso": "constant", "pso-linear": "linear_dec_w", "pso-tvac": "tvac"}
-_ADAPTER_FOR_ALGO = {
-    "pso": "none",
-    "pso-linear": "linear_dec_w",
-    "pso-tvac": "tvac",
-    "clpso": "linear_dec_w",
-    "rlam-absolute": "rlam-absolute",
-    "rlam-relative": "rlam-relative",
-    "rlpso": "rlam-absolute",
-}
-
-
 def run_single(algorithm: str, function: str, dim: int, fn_seed: int, budget: int,
-               run_seed: int, particles: int = 40, model=None,
-               refresh_gap: int = DEFAULT_REFRESH_GAP) -> RunRecord:
+               run_seed: int, particles: int = 40, model=None) -> RunRecord:
     """Execute one run of one algorithm and return its record."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
+    variant, controller = _ALGORITHM_TABLE[algorithm]
     objective = make_objective(function, dim, fn_seed)
-    if algorithm in _MODEL_ALGOS:
+    if _needs_model(algorithm):
         if model is None:
             raise ValueError(f"algorithm {algorithm!r} needs a trained model file")
+        mode = controller  # the table names the policy's mode
         policy, meta = model if isinstance(model, tuple) else ddpg.load_model(model)
-        if algorithm == "rlpso":
-            variant, mode = "rlpso", "absolute"
-        else:
-            variant, mode = "pso", algorithm.split("-", 1)[1]
         expected = ddpg.action_width(variant)
         if policy.action_dim != expected:
             raise ValueError(
@@ -155,25 +145,8 @@ def run_single(algorithm: str, function: str, dim: int, fn_seed: int, budget: in
             declared = meta.get(key)
             if declared is not None and str(declared) != str(wanted):
                 raise ValueError(f"model sidecar has {key}={declared}, {algorithm} needs {wanted}")
-        return ddpg.adapted_run(policy, objective, variant, mode, budget, run_seed,
-                                n_particles=particles, refresh_gap=refresh_gap)
-
-    variant = "clpso" if algorithm == "clpso" else "pso"
-    swarm = Swarm(objective, particles, budget, run_seed, variant=variant)
-    record = RunRecord(function, dim, run_seed, variant, _ADAPTER_FOR_ALGO[algorithm])
-    record.curve.append((swarm.eval_count, swarm.gbest_fit))
-    t_max = max(1, budget // particles - 1)
-    t = 0
-    while swarm.eval_count < swarm.eval_budget:
-        if algorithm == "clpso":
-            sched = schedule_coeffs("linear_dec_w", min(t, t_max), t_max)
-            swarm.clpso_step(sched.w, 1.494, refresh_gap)
-        else:
-            coeffs = schedule_coeffs(_SCHEDULE_FOR_ALGO[algorithm], min(t, t_max), t_max)
-            swarm.pso_step([coeffs] * swarm.subgroup_count)
-        record.curve.append((swarm.eval_count, swarm.gbest_fit))
-        t += 1
-    return record.close()
+        controller = ddpg.PolicyController(policy, mode, variant)
+    return drive(Swarm(objective, particles, budget, run_seed, variant=variant), controller)
 
 
 # -- experiment configuration -------------------------------------------------
@@ -201,7 +174,7 @@ class ExperimentConfig:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}; valid: {', '.join(ALGORITHMS)}")
-        if any(a in _MODEL_ALGOS for a in self.algorithms) and not self.model:
+        if any(_needs_model(a) for a in self.algorithms) and not self.model:
             raise ConfigError("config uses a model-driven algorithm but sets no model path")
         if self.runs < 1 or self.budget < self.particles or self.dim < 2:
             raise ConfigError("runs, budget, and dim must be sensible positive values")
@@ -382,7 +355,7 @@ def run_experiment(config: ExperimentConfig, quiet: bool = True):
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model = None
-    if any(a in _MODEL_ALGOS for a in config.algorithms):
+    if any(_needs_model(a) for a in config.algorithms):
         model = ddpg.load_model(config.model)
     records = []
     finals: dict = {}

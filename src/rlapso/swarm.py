@@ -1,10 +1,18 @@
-"""Particle swarm state and update rules.
+"""Particle swarm state, update rules, and the one loop that runs a swarm.
 
 Three step kinds share one ``Swarm``: the classic inertia/pbest/gbest update,
 the comprehensive-learning update with per-dimension exemplars, and the
 RLPSO update (exemplar + gbest + own-pbest terms with a stall-gated position
-mutation).  Every coefficient is supplied by the caller each iteration so an
-external controller can steer the run.
+mutation).  ``Swarm.step`` runs the swarm's own kind.
+
+Controller contract: ``drive`` is the one loop that runs a swarm to its
+budget.  Per iteration it calls ``controller(swarm, t, t_max)`` once, steps,
+appends (eval_count, gbest) to the curve, then calls ``on_step(swarm,
+prev_best)`` if given.  The controller returns one ``CoefficientSet`` per
+subgroup (CLPSO's update takes w and c1 from the first), never draws from
+``swarm.rng``, and its ``adapter`` attribute tags the run's record; 0 <= t <=
+t_max = max(1, budget // n - 1).  ``Schedule`` runs the offline schedules,
+``ddpg.PolicyController`` a trained policy.
 
 Determinism contract: all randomness flows through ``self.rng`` and is drawn
 in a fixed documented order, so a test oracle holding an identically seeded
@@ -35,7 +43,7 @@ are bit-identical to that form, which the tests replay.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,21 +70,52 @@ class CoefficientSet:
 
 
 def schedule_coeffs(kind: str, t: int, t_max: int) -> CoefficientSet:
-    """Baseline offline schedules: constant, linearly decreasing w, or TVAC."""
+    """Offline schedules: constant, linearly decreasing w, TVAC, or CLPSO's
+    linearly decreasing w with its single acceleration coefficient."""
     if not 0 <= t <= max(t_max, 1):
         raise ValueError(f"iteration {t} outside [0, {t_max}]")
     span = max(t_max, 1)
     if kind == "constant":
         return CoefficientSet(0.729, 1.494, 1.494)
+    w = (span - t) / span * (0.9 - 0.4) + 0.4
     if kind == "linear_dec_w":
-        w = (span - t) / span * (0.9 - 0.4) + 0.4
         return CoefficientSet(w, 2.0, 2.0)
+    if kind == "clpso":
+        return CoefficientSet(w, 1.494, 0.0)
     if kind == "tvac":
-        w = (span - t) / span * (0.9 - 0.4) + 0.4
         c1 = (0.5 - 2.5) * (t / span) + 2.5
         c2 = (2.5 - 0.5) * (t / span) + 0.5
         return CoefficientSet(w, c1, c2)
     raise ValueError(f"unknown schedule kind {kind!r}")
+
+
+@dataclass
+class RunRecord:
+    """One optimization run: a convergence curve plus its final best value.
+
+    ``curve`` holds (eval_count, gbest_fit) pairs, the first taken right
+    after initialization and then one per iteration; the gbest column is
+    non-increasing and ``final_fit`` equals its last entry.
+    """
+
+    function: str
+    dim: int
+    seed: int
+    variant: str
+    adapter: str
+    curve: list = field(default_factory=list)
+    final_fit: float = float("inf")
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Controller that gives every subgroup one offline schedule's coefficients."""
+
+    kind: str
+    adapter: str
+
+    def __call__(self, swarm: Swarm, t: int, t_max: int) -> list[CoefficientSet]:
+        return [schedule_coeffs(self.kind, t, t_max)] * swarm.subgroup_count
 
 
 def learning_probability(i: int, n: int) -> float:
@@ -107,6 +146,7 @@ class Swarm:
         self.dim = objective.dim
         self.eval_budget = budget
         self.variant = variant
+        self.seed = seed
         self.subgroup_count = subgroup_count
         self.rng = np.random.default_rng(seed)
         self.v_max = V_MAX_FRACTION * (objective.upper - objective.lower)
@@ -213,6 +253,14 @@ class Swarm:
 
     # -- step variants ------------------------------------------------------
 
+    def step(self, sets) -> bool:
+        """One iteration of this swarm's variant; returns whether gbest improved."""
+        if self.variant == "pso":
+            return self.pso_step(sets)
+        if self.variant == "clpso":
+            return self.clpso_step(sets[0].w, sets[0].c1)
+        return self.rlpso_step(sets)
+
     def pso_step(self, coeffs_per_group) -> bool:
         """One classic iteration; returns whether the global best improved.
 
@@ -281,3 +329,23 @@ class Swarm:
                 if self.stall[i] > m:
                     self.assign_exemplar(i)
         return self._finish_iteration(start_best)
+
+
+def drive(swarm: Swarm, controller, on_step=None) -> RunRecord:
+    """Step ``swarm`` until its budget is spent, asking ``controller`` for each
+    iteration's coefficients, and return the run's record (see the module
+    docstring for the contract)."""
+    record = RunRecord(swarm.objective.id, swarm.dim, swarm.seed, swarm.variant,
+                       controller.adapter)
+    record.curve.append((swarm.eval_count, swarm.gbest_fit))
+    t_max = max(1, swarm.eval_budget // swarm.n - 1)
+    t = 0
+    while swarm.eval_count < swarm.eval_budget:
+        prev_best = swarm.gbest_fit
+        swarm.step(controller(swarm, t, t_max))
+        record.curve.append((swarm.eval_count, swarm.gbest_fit))
+        if on_step is not None:
+            on_step(swarm, prev_best)
+        t += 1
+    record.final_fit = swarm.gbest_fit
+    return record

@@ -74,6 +74,18 @@ class TestInvariants:
         obj = make_objective(fn, dim, 31415)
         assert abs(obj.evaluate(obj.shift) - obj.bias) < 1e-9
 
+    @pytest.mark.parametrize("fn", [fn for fn, spec in FUNCTIONS.items() if not spec.rotated])
+    @pytest.mark.parametrize("dim", [2, 10, 30])
+    def test_unrotated_matches_the_identity_product(self, fn, dim):
+        """Unrotated objectives skip their identity rotation; the product they
+        skip is the reference, on random points, the optimum and the origin."""
+        obj = make_objective(fn, dim, 808)
+        assert np.array_equal(obj.rotation, np.eye(dim))
+        rng = np.random.default_rng(dim)
+        for x in [obj.shift, np.zeros(dim), *rng.uniform(-100.0, 100.0, (200, dim))]:
+            expected = FUNCTIONS[fn].raw(obj.rotation @ (x - obj.shift)) + obj.bias
+            assert obj.evaluate(x) == expected
+
     @pytest.mark.parametrize("fn", list(FUNCTIONS))
     def test_determinism_on_random_points(self, fn):
         a = make_objective(fn, 10, 4242)

@@ -8,11 +8,11 @@ import pytest
 from conftest import flat_objective
 from rlapso.ddpg import (
     DdpgAgent,
+    PolicyController,
     RawState,
     ReplayBuffer,
     action_width,
     adapted_run,
-    baseline_coeffs,
     coefficient_sets,
     encode,
     load_model,
@@ -311,8 +311,9 @@ class TestAgent:
 class TestCoefficientPlumbing:
     def test_action_widths(self):
         assert action_width("pso") == 20
-        assert action_width("clpso") == 20
         assert action_width("rlpso") == 25
+        with pytest.raises(ValueError, match="clpso"):
+            action_width("clpso")
 
     def test_slices_map_per_group(self):
         action = np.concatenate([np.full(4, -1.0), np.full(4, 1.0),
@@ -333,8 +334,14 @@ class TestCoefficientPlumbing:
             coefficient_sets(np.zeros(19), "absolute", "pso", None)
 
     def test_baseline_origin_for_pso_is_constant_schedule(self):
-        origin = baseline_coeffs("pso", 10, 100)
-        assert (origin.w, origin.c1, origin.c2) == (0.729, 1.494, 1.494)
+        class ZeroPolicy:
+            def act(self, state, explore):
+                return np.zeros(20)
+
+        # a zero action leaves relative mode at its origin
+        controller = PolicyController(ZeroPolicy(), "relative", "pso")
+        sets = controller(Swarm(flat_objective(2), 10, 1000, seed=1), 10, 100)
+        assert [(c.w, c.c1, c.c2) for c in sets] == [(0.729, 1.494, 1.494)] * 5
 
 
 class TestTrainingLoop:
@@ -380,7 +387,7 @@ class TestTrainingLoop:
         plain = DdpgAgent(20, seed=15, warmup=20, batch_size=8)
         train(plain, ["sphere"], 3, "absolute", "pso", 2,
               validate_every=0, **kwargs)
-        args = (["sphere"], "absolute", "pso", 2, 8, 200, 7, 5)
+        args = (["sphere"], "absolute", "pso", 2, 8, 200)
         assert _validation_score(selected, *args) <= _validation_score(plain, *args) + 1e-12
 
 

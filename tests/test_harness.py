@@ -314,8 +314,9 @@ class TestModelContract:
     def test_clpso_trained_model_rejected_for_rlam(self, tmp_path):
         from rlapso.ddpg import DdpgAgent, action_width, save_model
 
+        # no variant=clpso model can be trained any more, but old files exist
         path = tmp_path / "clpso.bin"
-        save_model(DdpgAgent(action_width("clpso"), seed=4).actor, path, mode="absolute",
+        save_model(DdpgAgent(action_width("pso"), seed=4).actor, path, mode="absolute",
                    variant="clpso", pool=["sphere"], episodes=1, seed=4)
         with pytest.raises(ValueError, match="variant=clpso"):
             run_single("rlam-absolute", "sphere", 2, 1, 100, 1, particles=8, model=path)

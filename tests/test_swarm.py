@@ -12,7 +12,9 @@ from rlapso.benchmarks import make_objective
 from rlapso.swarm import (
     BudgetExhaustedError,
     CoefficientSet,
+    Schedule,
     Swarm,
+    drive,
     learning_probability,
     schedule_coeffs,
 )
@@ -467,6 +469,58 @@ class TestSchedules:
     def test_iteration_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             schedule_coeffs("constant", 11, 10)
+
+    def test_clpso_values(self):
+        c = schedule_coeffs("clpso", 25, 100)
+        assert (c.w, c.c1) == (schedule_coeffs("linear_dec_w", 25, 100).w, 1.494)
+
+
+class TestDrive:
+    @pytest.mark.parametrize("variant", ["pso", "clpso", "rlpso"])
+    def test_matches_a_hand_written_step_loop(self, variant):
+        """45 evaluations on 10 particles: four iterations, t = 0..t_max, the
+        last cut short after five particles."""
+        obj = make_objective("rastrigin", 3, 21)
+        swarm = Swarm(obj, 10, 45, seed=22, variant=variant)
+        record = drive(swarm, Schedule("tvac", "tag"))
+
+        mirror = Swarm(obj, 10, 45, seed=22, variant=variant)
+        curve = [(10, mirror.gbest_fit)]
+        for t in range(4):
+            c = schedule_coeffs("tvac", t, 3)
+            if variant == "clpso":
+                mirror.clpso_step(c.w, c.c1)
+            elif variant == "pso":
+                mirror.pso_step([c] * 5)
+            else:
+                mirror.rlpso_step([c] * 5)
+            curve.append((mirror.eval_count, mirror.gbest_fit))
+        assert record.curve == curve
+        assert curve[-1][0] == 45
+        assert np.array_equal(swarm.positions, mirror.positions)
+        assert (record.function, record.dim, record.seed, record.variant, record.adapter) == \
+            ("rastrigin", 3, 22, variant, "tag")
+        assert record.final_fit == curve[-1][1]
+
+    def test_controller_and_hook_calls(self):
+        calls = []
+
+        class Recorder:
+            adapter = "rec"
+
+            def __call__(self, swarm, t, t_max):
+                calls.append(("control", t, t_max, swarm.eval_count))
+                return const_coeffs(0.7, 1.5, 1.5, groups=5)
+
+        swarm = Swarm(make_objective("sphere", 2, 23), 10, 40, seed=24)
+        record = drive(swarm, Recorder(),
+                       lambda s, prev: calls.append(("step", s.eval_count, prev)))
+        fits = [fit for _, fit in record.curve]
+        assert calls == [
+            ("control", 0, 3, 10), ("step", 20, fits[0]),
+            ("control", 1, 3, 20), ("step", 30, fits[1]),
+            ("control", 2, 3, 30), ("step", 40, fits[2]),
+        ]
 
 
 class TestLearningProbability:
