@@ -302,8 +302,8 @@ def action_width(variant: str) -> int:
 class PolicyController:
     """Swarm controller: observe -> encode -> act -> map once per iteration,
     relative mode perturbing the constant schedule.  ``state`` and ``action``
-    are what it last saw and chose; after ``read_state`` the next call acts on
-    that state without observing again."""
+    are what it last saw and chose; after ``read_state`` the next call of the
+    same run (t > 0) acts on that state without observing again."""
 
     def __init__(self, policy, mode: str, variant: str, explore: bool = False):
         self.policy = policy
@@ -320,7 +320,7 @@ class PolicyController:
         return self.state
 
     def __call__(self, swarm: Swarm, t: int, t_max: int) -> list[CoefficientSet]:
-        if self._read_at != swarm.eval_count:
+        if t == 0 or self._read_at != swarm.eval_count:
             self.read_state(swarm)
         self.action = self.policy.act(self.state, explore=self.explore)
         origin = schedule_coeffs("constant", t, t_max) if self.mode == "relative" else None

@@ -25,7 +25,7 @@ from rlapso.ddpg import (
     train,
 )
 from rlapso.neural import soft_update
-from rlapso.swarm import CoefficientSet, Swarm
+from rlapso.swarm import CoefficientSet, Swarm, drive
 
 
 class TestObserve:
@@ -434,6 +434,17 @@ class TestAdaptedRun:
         mirror.pso_step([expected] * 5)
         rec = adapted_run(agent, obj, "pso", "absolute", 80, seed, n_particles=10)
         assert rec.curve[1][1] == mirror.gbest_fit
+
+    def test_controller_reused_for_a_second_run_observes_afresh(self):
+        from rlapso.benchmarks import make_objective
+
+        agent = DdpgAgent(20, seed=21)
+        obj = make_objective("rastrigin", 3, 80)
+        controller = PolicyController(agent, "absolute", "pso")
+        drive(Swarm(obj, 10, 25, seed=1), controller)  # last observes at 20 evaluations
+        second = drive(Swarm(obj, 20, 45, seed=2), controller)  # starts at 20
+        assert second.curve == adapted_run(agent, obj, "pso", "absolute", 45, 2,
+                                           n_particles=20).curve
 
 
 class TestModelFiles:
