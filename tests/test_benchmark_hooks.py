@@ -14,10 +14,7 @@ from pathlib import Path
 
 import pytest
 
-import rlapso.benchmarks  # noqa: F401  (the tracer looks modules up by name)
-import rlapso.neural  # noqa: F401
-import rlapso.swarm  # noqa: F401
-from rlapso import ddpg, harness
+from rlapso import ddpg, harness  # loads every module the tracer looks up by name
 from rlapso.ddpg import DdpgAgent, action_width
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
