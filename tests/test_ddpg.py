@@ -165,6 +165,52 @@ class TestRelativeMapper:
         assert c.c3 == 0.7 and c.c4 == 0.9
 
 
+def _reference_absolute(a):
+    ah = (np.asarray(a, dtype=float) + 1.0) / 2.0
+    w = ah[0] * 0.8 + 0.1
+    scale = 1.0 / (ah[1] + ah[2] + 1e-5) * ah[3] * 8.0
+    return float(w), float(scale * ah[1]), float(scale * ah[2]), 0.0, 0.0
+
+
+def _reference_rlpso(a):
+    ah = (np.asarray(a, dtype=float) + 1.0) / 2.0
+    w = ah[0] * 0.8 + 0.1
+    scale = 1.0 / (ah[1] + ah[2] + ah[3] + 1e-5) * ah[4] * 8.0
+    return float(w), float(scale * ah[1]), float(scale * ah[2]), float(scale * ah[3]), float(ah[4])
+
+
+def _reference_relative(a, origin=(0.729, 1.494, 1.494, 0.0, 0.0)):
+    a = np.asarray(a, dtype=float)
+    w = min(max(a[0] * 0.5 + origin[0], 0.05), 1.2)
+    c1 = a[1] * 0.5 + origin[1]
+    c2 = a[2] * 0.5 + origin[2]
+    c3 = a[3] * 0.5 + origin[3] if a.size > 3 else origin[3]
+    c4 = a[4] * 0.5 + origin[4] if a.size > 4 else origin[4]
+    return float(w), float(c1), float(c2), float(c3), float(c4)
+
+
+class TestMappingReference:
+    """The coefficient table equals the per-slice scalar mapping, bit for bit."""
+
+    @pytest.mark.parametrize("mode,variant,reference", [
+        ("absolute", "pso", _reference_absolute),
+        ("absolute", "rlpso", _reference_rlpso),
+        ("relative", "pso", _reference_relative),
+    ])
+    def test_table_matches_scalar_reference(self, mode, variant, reference, rng):
+        width = action_width(variant) // 5
+        origin = CoefficientSet(0.729, 1.494, 1.494) if mode == "relative" else None
+        for _ in range(500):
+            action = rng.uniform(-1, 1, 5 * width)
+            edges = rng.random(action.size) < 0.2  # actor outputs clipped to exactly +-1
+            action[edges] = rng.choice([-1.0, 1.0], int(edges.sum()))
+            expected = np.array([reference(action[g * width:(g + 1) * width]) for g in range(5)])
+            table = np.array([(c.w, c.c1, c.c2, c.c3, c.c4)
+                              for c in coefficient_sets(action, mode, variant, origin)])
+            assert table.dtype == np.float64
+            assert table.tobytes() == expected.tobytes()
+
+
 class TestReward:
     def test_improvement_is_plus_one(self):
         assert reward(10.0, 9.0) == 1.0
