@@ -14,9 +14,6 @@ from .ddpg import (
     RawState,
     adapted_run,
     encode,
-    map_action_absolute,
-    map_action_relative,
-    map_action_rlpso,
     observe,
     reward,
     train,

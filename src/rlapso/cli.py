@@ -140,12 +140,12 @@ def _cmd_bench() -> int:
     check("wilcoxon matches the all-positive exact case", stat == 0.0 and abs(p - 0.03125) < 1e-12)
 
     rng = np.random.default_rng(0)
-    passed = True
-    for _ in range(200):
-        c = ddpg.map_action_absolute(rng.uniform(-1, 1, 4))
-        passed &= 0.1 - 1e-12 <= c.w <= 0.9 + 1e-12
-        passed &= c.c1 >= 0 and c.c2 >= 0 and c.c1 + c.c2 <= 8 + 1e-3
-    check("absolute action mapping stays in range", passed)
+    rows = np.vstack([ddpg.coefficient_sets(rng.uniform(-1, 1, 20), "absolute", "pso")
+                      for _ in range(40)])
+    w, c1, c2 = rows[:, 0], rows[:, 1], rows[:, 2]
+    check("absolute action mapping stays in range",
+          bool(np.all((0.1 - 1e-12 <= w) & (w <= 0.9 + 1e-12) & (c1 >= 0) & (c2 >= 0)
+                      & (c1 + c2 <= 8 + 1e-3))))
 
     if failed:
         print(f"bench: {len(failed)} checks failed", file=sys.stderr)

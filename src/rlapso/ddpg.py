@@ -3,8 +3,12 @@ trained online against swarm runs.
 
 Per iteration the swarm is observed as three scalars (progress, diversity,
 stagnation), sine-encoded into 15 inputs; the actor emits one action slice
-per particle subgroup which a mapper turns into velocity coefficients.  The
-reward is +1 when the global best improved that iteration, otherwise -1.
+per subgroup, and ``coefficient_sets`` maps them all at once to the swarm's
+coefficient table.  Absolute mode moves each slice to [0, 1] and reads w in
+[0.1, 0.9] from its first value and attraction shares c1, c2[, c3] under a
+budget of 8 times its last, which is also rlpso's mutation gate c4; relative
+mode adds half the slice to the constant schedule, w clamped to [0.05, 1.2].
+The reward is +1 when the global best improved that iteration, otherwise -1.
 Training follows the standard off-policy loop: replay buffer, critic
 regression against the target networks' bootstrap value, actor ascending the
 critic, and soft target tracking.
@@ -22,7 +26,7 @@ import numpy as np
 from .benchmarks import make_objective
 from .neural import (AdamState, GradientTape, Gradients, Mlp, adam_update, load_weights,
                      save_weights, soft_update)
-from .swarm import DEFAULT_SUBGROUPS, CoefficientSet, RunRecord, Swarm, drive, schedule_coeffs
+from .swarm import CONSTANT_COEFFS, DEFAULT_SUBGROUPS, RunRecord, Swarm, drive
 
 STATE_WIDTH = 15
 SIN_SCALES = (1.0, 2.0, 4.0, 8.0, 16.0)  # 2**i for i = 0..4
@@ -61,49 +65,6 @@ def encode(raw: RawState) -> np.ndarray:
         for j, scale in enumerate(SIN_SCALES):
             out[block * len(SIN_SCALES) + j] = math.sin(x * scale)
     return out
-
-
-def _unit(a: np.ndarray) -> np.ndarray:
-    # actor outputs live in [-1, 1]; the absolute mapper wants [0, 1]
-    return (np.asarray(a, dtype=float) + 1.0) / 2.0
-
-
-def map_action_absolute(a) -> CoefficientSet:
-    """Map one 4-wide action slice to (w, c1, c2): w in [0.1, 0.9] and
-    c1 + c2 normalized to a budget of 8 * a_hat[3]."""
-    ah = _unit(a)
-    if ah.shape != (4,):
-        raise ValueError(f"absolute mapper wants 4 values, got {ah.shape}")
-    w = ah[0] * 0.8 + 0.1
-    scale = 1.0 / (ah[1] + ah[2] + 1e-5) * ah[3] * 8.0
-    return CoefficientSet(float(w), float(scale * ah[1]), float(scale * ah[2]))
-
-
-def map_action_rlpso(a) -> CoefficientSet:
-    """5-wide variant of the absolute mapper: three attraction shares under an
-    8 * a_hat[4] budget; a_hat[4] also serves as the mutation gate c4."""
-    ah = _unit(a)
-    if ah.shape != (5,):
-        raise ValueError(f"rlpso mapper wants 5 values, got {ah.shape}")
-    w = ah[0] * 0.8 + 0.1
-    scale = 1.0 / (ah[1] + ah[2] + ah[3] + 1e-5) * ah[4] * 8.0
-    return CoefficientSet(
-        float(w), float(scale * ah[1]), float(scale * ah[2]), float(scale * ah[3]), float(ah[4])
-    )
-
-
-def map_action_relative(a, origin: CoefficientSet) -> CoefficientSet:
-    """Perturb a baseline coefficient set by a * 0.5 per component; the
-    inertia weight is clamped to [0.05, 1.2] for stability."""
-    a = np.asarray(a, dtype=float)
-    if a.size < 3:
-        raise ValueError(f"relative mapper wants at least 3 values, got {a.size}")
-    w = min(max(a[0] * 0.5 + origin.w, 0.05), 1.2)
-    c1 = a[1] * 0.5 + origin.c1
-    c2 = a[2] * 0.5 + origin.c2
-    c3 = a[3] * 0.5 + origin.c3 if a.size > 3 else origin.c3
-    c4 = a[4] * 0.5 + origin.c4 if a.size > 4 else origin.c4
-    return CoefficientSet(float(w), float(c1), float(c2), float(c3), float(c4))
 
 
 def reward(prev_gbest: float, new_gbest: float) -> float:
@@ -272,25 +233,32 @@ class DdpgAgent:
         return critic_loss, actor_objective
 
 
-def coefficient_sets(action, mode: str, variant: str,
-                     origin: CoefficientSet | None) -> list[CoefficientSet]:
-    """Split a full action vector into per-subgroup slices and map each one."""
+def coefficient_sets(action, mode: str, variant: str) -> np.ndarray:
+    """Map a full action vector to the (subgroups, 5) coefficient table, one
+    row per subgroup's slice (see the module docstring)."""
     action = np.asarray(action, dtype=float)
     width = GROUP_WIDTH[variant]
     if action.shape != (width * DEFAULT_SUBGROUPS,):
         raise ValueError(f"expected action of length {action_width(variant)}, got {action.shape}")
-    sets = []
-    for g in range(DEFAULT_SUBGROUPS):
-        piece = action[g * width : (g + 1) * width]
-        if mode == "absolute":
-            sets.append(map_action_rlpso(piece) if variant == "rlpso" else map_action_absolute(piece))
-        elif mode == "relative":
-            if variant == "rlpso":
-                raise ValueError("relative mode is undefined for rlpso (no baseline coefficients)")
-            sets.append(map_action_relative(piece, origin))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-    return sets
+    slices = action.reshape(DEFAULT_SUBGROUPS, width)
+    table = np.zeros((DEFAULT_SUBGROUPS, 5))
+    if mode == "absolute":
+        ah = (slices.T + 1.0) / 2.0  # ah[k]: component k of every slice, moved to [0, 1]
+        shares = ah[1:-1]
+        # add the shares left to right, (s1 + s2) + s3: the order fixes the last bits
+        scale = 1.0 / (sum(shares[1:], shares[0]) + 1e-5) * ah[-1] * 8.0
+        table[:, 0] = ah[0] * 0.8 + 0.1
+        table[:, 1:width - 1] = (scale * shares).T
+        if variant == "rlpso":
+            table[:, 4] = ah[-1]
+    elif mode == "relative":
+        if variant == "rlpso":
+            raise ValueError("relative mode is undefined for rlpso (no baseline coefficients)")
+        table[:, :width] = slices * 0.5 + CONSTANT_COEFFS[:width]
+        np.clip(table[:, 0], 0.05, 1.2, out=table[:, 0])
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return table
 
 
 def action_width(variant: str) -> int:
@@ -319,12 +287,11 @@ class PolicyController:
         self._read_at = swarm.eval_count
         return self.state
 
-    def __call__(self, swarm: Swarm, t: int, t_max: int) -> list[CoefficientSet]:
+    def __call__(self, swarm: Swarm, t: int, t_max: int) -> np.ndarray:
         if t == 0 or self._read_at != swarm.eval_count:
             self.read_state(swarm)
         self.action = self.policy.act(self.state, explore=self.explore)
-        origin = schedule_coeffs("constant", t, t_max) if self.mode == "relative" else None
-        return coefficient_sets(self.action, self.mode, self.variant, origin)
+        return coefficient_sets(self.action, self.mode, self.variant)
 
 
 @dataclass
@@ -393,6 +360,9 @@ def train(agent: DdpgAgent, pool, episodes: int, mode: str, variant: str, dim: i
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    for name, every in (("validate_every", validate_every), ("log_every", log_every)):
+        if every < 0:
+            raise ValueError(f"{name} must be >= 0, got {every}")
     pool = list(pool)
     if not pool:
         raise ValueError("training pool is empty")

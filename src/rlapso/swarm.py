@@ -8,11 +8,12 @@ mutation).  ``Swarm.step`` runs the swarm's own kind.
 Controller contract: ``drive`` is the one loop that runs a swarm to its
 budget.  Per iteration it calls ``controller(swarm, t, t_max)`` once, steps,
 appends (eval_count, gbest) to the curve, then calls ``on_step(swarm,
-prev_best)`` if given.  The controller returns one ``CoefficientSet`` per
-subgroup (CLPSO's update takes w and c1 from the first), never draws from
-``swarm.rng``, and its ``adapter`` attribute tags the run's record; 0 <= t <=
-t_max = max(1, budget // n - 1).  ``Schedule`` runs the offline schedules,
-``ddpg.PolicyController`` a trained policy.
+prev_best)`` if given.  The controller returns a float64 coefficient table
+of shape ``(subgroup_count, 5)``, one row per subgroup with columns ``w, c1,
+c2, c3, c4`` (RLPSO alone reads c3 and c4; CLPSO takes w and c1 from row 0),
+never draws from ``swarm.rng``, and its ``adapter`` attribute tags the run's
+record; 0 <= t <= t_max = max(1, budget // n - 1).  ``Schedule`` runs the
+offline schedules, ``ddpg.PolicyController`` a trained policy.
 
 Determinism contract: all randomness flows through ``self.rng`` and is drawn
 in a fixed documented order, so a test oracle holding an identically seeded
@@ -44,6 +45,7 @@ are bit-identical to that form, which the tests replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,15 +60,18 @@ class BudgetExhaustedError(RuntimeError):
     """Raised when a step is requested but no evaluations remain."""
 
 
-@dataclass
-class CoefficientSet:
-    """One subgroup's velocity-update coefficients (c3/c4 used by RLPSO only)."""
+class CoefficientSet(NamedTuple):
+    """One subgroup's row of a coefficient table (c3/c4 used by RLPSO only)."""
 
     w: float
     c1: float
     c2: float
     c3: float = 0.0
     c4: float = 0.0
+
+
+# the constant schedule, also the origin that relative-mode policies perturb
+CONSTANT_COEFFS = CoefficientSet(0.729, 1.494, 1.494)
 
 
 def schedule_coeffs(kind: str, t: int, t_max: int) -> CoefficientSet:
@@ -76,7 +81,7 @@ def schedule_coeffs(kind: str, t: int, t_max: int) -> CoefficientSet:
         raise ValueError(f"iteration {t} outside [0, {t_max}]")
     span = max(t_max, 1)
     if kind == "constant":
-        return CoefficientSet(0.729, 1.494, 1.494)
+        return CONSTANT_COEFFS
     w = (span - t) / span * (0.9 - 0.4) + 0.4
     if kind == "linear_dec_w":
         return CoefficientSet(w, 2.0, 2.0)
@@ -114,8 +119,8 @@ class Schedule:
     kind: str
     adapter: str
 
-    def __call__(self, swarm: Swarm, t: int, t_max: int) -> list[CoefficientSet]:
-        return [schedule_coeffs(self.kind, t, t_max)] * swarm.subgroup_count
+    def __call__(self, swarm: Swarm, t: int, t_max: int) -> np.ndarray:
+        return np.full((swarm.subgroup_count, 5), schedule_coeffs(self.kind, t, t_max))
 
 
 def learning_probability(i: int, n: int) -> float:
@@ -253,33 +258,39 @@ class Swarm:
 
     # -- step variants ------------------------------------------------------
 
-    def step(self, sets) -> bool:
+    def _table(self, coeffs) -> np.ndarray:
+        """``coeffs`` as a float64 coefficient table, one row per subgroup."""
+        table = np.asarray(coeffs, dtype=float)
+        if table.shape != (self.subgroup_count, 5):
+            raise ValueError(f"expected {self.subgroup_count} coefficient sets as a "
+                             f"({self.subgroup_count}, 5) table, got shape {table.shape}")
+        return table
+
+    def step(self, coeffs) -> bool:
         """One iteration of this swarm's variant; returns whether gbest improved."""
         if self.variant == "pso":
-            return self.pso_step(sets)
+            return self.pso_step(coeffs)
         if self.variant == "clpso":
-            return self.clpso_step(sets[0].w, sets[0].c1)
-        return self.rlpso_step(sets)
+            w, c1 = self._table(coeffs)[0, :2].tolist()
+            return self.clpso_step(w, c1)
+        return self.rlpso_step(coeffs)
 
-    def pso_step(self, coeffs_per_group) -> bool:
+    def pso_step(self, coeffs) -> bool:
         """One classic iteration; returns whether the global best improved.
 
         Evaluation stops mid-iteration if the budget runs out (remaining
         particles are left untouched).
         """
-        if len(coeffs_per_group) != self.subgroup_count:
-            raise ValueError(
-                f"expected {self.subgroup_count} coefficient sets, got {len(coeffs_per_group)}"
-            )
+        table = self._table(coeffs)
         self._require_budget()
         start_best = self.gbest_fit
         k = min(self.n, self.eval_budget - self.eval_count)
-        coeffs = np.array([(c.w, c.c1, c.c2) for c in coeffs_per_group])[self._group[:k]]
+        rows = table[self._group[:k]]  # each particle's subgroup row
         r = self.rng.random((k, 2, self.dim))
         x = self.positions[:k]
-        own = coeffs[:, 0:1] * self.velocities[:k] \
-            + (coeffs[:, 1:2] * r[:, 0]) * (self.pbest_pos[:k] - x)
-        social = coeffs[:, 2:3] * r[:, 1]
+        own = rows[:, 0:1] * self.velocities[:k] \
+            + (rows[:, 1:2] * r[:, 0]) * (self.pbest_pos[:k] - x)
+        social = rows[:, 2:3] * r[:, 1]
         for i in range(k):
             v = own[i] + social[i] * (self.gbest_pos - self.positions[i])
             self._record(i, self._fly(i, v))
@@ -300,26 +311,23 @@ class Swarm:
                     self.assign_exemplar(i)
         return self._finish_iteration(start_best)
 
-    def rlpso_step(self, coeffs_per_group, m: int = DEFAULT_REFRESH_GAP) -> bool:
+    def rlpso_step(self, coeffs, m: int = DEFAULT_REFRESH_GAP) -> bool:
         """One RLPSO iteration: exemplar + gbest + own-pbest velocity terms,
         then a stall-gated mutation that may reinitialize the position."""
-        if len(coeffs_per_group) != self.subgroup_count:
-            raise ValueError(
-                f"expected {self.subgroup_count} coefficient sets, got {len(coeffs_per_group)}"
-            )
+        rows = self._table(coeffs).tolist()
         if m < 1:
             raise ValueError("refreshing gap must be >= 1")
         self._require_budget()
         start_best = self.gbest_fit
         d = self.dim
         for i in range(min(self.n, self.eval_budget - self.eval_count)):
-            c = coeffs_per_group[self._group[i]]
+            w, c1, c2, c3, c4 = rows[self._group[i]]
             x = self.positions[i]
             r = self.rng.random(3 * d + 1)
-            v = c.w * self.velocities[i] + c.c1 * r[:d] * (self._exemplar_target(i) - x) \
-                + c.c2 * r[d:2 * d] * (self.gbest_pos - x) \
-                + c.c3 * r[2 * d:3 * d] * (self.pbest_pos[i] - x)
-            if r[3 * d] < c.c4 * 0.01 * self.stall[i]:
+            v = w * self.velocities[i] + c1 * r[:d] * (self._exemplar_target(i) - x) \
+                + c2 * r[d:2 * d] * (self.gbest_pos - x) \
+                + c3 * r[2 * d:3 * d] * (self.pbest_pos[i] - x)
+            if r[3 * d] < c4 * 0.01 * self.stall[i]:
                 x = self.rng.uniform(self.objective.lower, self.objective.upper, d)
                 fit = self._land(i, x, np.zeros(d))
             else:

@@ -28,9 +28,8 @@ from rlapso.ddpg import (
     RawState,
     action_width,
     adapted_run,
+    coefficient_sets,
     encode,
-    map_action_absolute,
-    map_action_relative,
     reward,
 )
 from rlapso.harness import normalized_pairs, run_single, wilcoxon_signed_rank
@@ -43,7 +42,7 @@ from rlapso.neural import (
     save_weights,
     soft_update,
 )
-from rlapso.swarm import learning_probability
+from rlapso.swarm import CoefficientSet, learning_probability
 
 PSO_TRAIN_SEED = 0
 RLPSO_TRAIN_SEED = 1
@@ -150,21 +149,19 @@ def test_criterion_2_equation_units(rng):
                 expected = tau * s_arr + (1.0 - tau) * b
                 assert np.max(np.abs(t_arr - expected)) <= 1e-12
 
-        # absolute mapping: w range and the c1+c2 budget identity
-        for _ in range(2000):
-            a = rng.uniform(-1, 1, 4)
-            c = map_action_absolute(a)
-            assert 0.1 - 1e-12 <= c.w <= 0.9 + 1e-12
-            ah = (a + 1.0) / 2.0
-            if ah[1] + ah[2] >= 0.1:
-                assert abs((c.c1 + c.c2) - 8.0 * ah[3]) < 1e-3
+        # absolute mapping: w range and the c1+c2 budget identity, per subgroup row
+        for _ in range(400):
+            action = rng.uniform(-1, 1, 20)
+            table = coefficient_sets(action, "absolute", "pso")
+            for a, c in zip(action.reshape(5, 4), map(CoefficientSet._make, table)):
+                assert 0.1 - 1e-12 <= c.w <= 0.9 + 1e-12
+                ah = (a + 1.0) / 2.0
+                if ah[1] + ah[2] >= 0.1:
+                    assert abs((c.c1 + c.c2) - 8.0 * ah[3]) < 1e-3
 
-        # relative mapping: zero perturbation is the identity
-        from rlapso.swarm import CoefficientSet
-
-        origin = CoefficientSet(0.7, 1.4, 1.6, 0.2, 0.1)
-        c = map_action_relative(np.zeros(5), origin)
-        assert (c.w, c.c1, c.c2, c.c3, c.c4) == (0.7, 1.4, 1.6, 0.2, 0.1)
+        # relative mapping: zero perturbation is the identity on the constant schedule
+        table = coefficient_sets(np.zeros(20), "relative", "pso")
+        assert table.tolist() == [[0.729, 1.494, 1.494, 0.0, 0.0]] * 5
 
         # exemplar learning probability endpoints, exactly
         assert learning_probability(0, 40) == 0.05

@@ -109,6 +109,19 @@ class TestTrainAndModelRuns:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("flag", ["--validate-every", "--log-every"])
+    def test_negative_cadence_is_runtime_error(self, tmp_path, capsys, flag):
+        model = tmp_path / "m.bin"
+        code = main(["train", "--variant", "pso", "--mode", "absolute",
+                     "--functions", "sphere", "--dim", "2", "--episodes", "3",
+                     "--budget", "40", "--particles", "10", "--seed", "0",
+                     "--out", str(model), flag, "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert flag[2:].replace("-", "_") in captured.err
+        assert "episode" not in captured.out
+        assert not model.exists()
+
     def test_model_variant_mismatch_is_runtime_error(self, tmp_path, capsys):
         model = tmp_path / "m.bin"
         assert main(["train", "--variant", "pso", "--mode", "absolute",

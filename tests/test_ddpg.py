@@ -16,9 +16,6 @@ from rlapso.ddpg import (
     coefficient_sets,
     encode,
     load_model,
-    map_action_absolute,
-    map_action_relative,
-    map_action_rlpso,
     observe,
     reward,
     save_model,
@@ -82,21 +79,35 @@ class TestEncode:
             assert np.all(enc >= -1.0) and np.all(enc <= 1.0)
 
 
+def mapped_rows(action, mode="absolute", variant="pso"):
+    """``coefficient_sets``' table as one CoefficientSet per subgroup."""
+    table = coefficient_sets(action, mode, variant)
+    assert table.shape == (5, 5) and table.dtype == np.float64
+    return [CoefficientSet(*row) for row in table]
+
+
+def map_slice(piece, mode="absolute", variant="pso"):
+    """Map one subgroup's slice, given to all five subgroups alike."""
+    rows = mapped_rows(np.tile(piece, 5), mode, variant)
+    assert rows == [rows[0]] * 5
+    return rows[0]
+
+
 class TestAbsoluteMapper:
     def test_all_low_action_gives_minimum_inertia_and_zero_pull(self):
-        c = map_action_absolute([-1.0, -1.0, -1.0, -1.0])
+        c = map_slice([-1.0, -1.0, -1.0, -1.0])
         assert c.w == pytest.approx(0.1, abs=1e-15)
         assert c.c1 == 0.0 and c.c2 == 0.0
 
     def test_symmetric_shares_split_budget_evenly(self):
-        c = map_action_absolute([1.0, 0.2, 0.2, 1.0])
+        c = map_slice([1.0, 0.2, 0.2, 1.0])
         assert c.w == pytest.approx(0.9, abs=1e-15)
         assert c.c1 == pytest.approx(c.c2, rel=1e-12)
         assert c.c1 + c.c2 == pytest.approx(8.0, abs=1e-3)
 
     def test_hand_evaluated_mapping(self):
         # unit-interval targets (0.5, 0.3, 0.1, 0.5) fed as raw tanh outputs
-        c = map_action_absolute([0.0, -0.4, -0.8, 0.0])
+        c = map_slice([0.0, -0.4, -0.8, 0.0])
         scale = 1.0 / (0.3 + 0.1 + 1e-5) * 0.5 * 8.0
         assert c.w == pytest.approx(0.5, abs=1e-12)
         assert c.c1 == pytest.approx(scale * 0.3, rel=1e-9)
@@ -105,64 +116,67 @@ class TestAbsoluteMapper:
         assert c.c2 == pytest.approx(0.99998, abs=1e-4)
 
     def test_range_invariants_for_random_actions(self, rng):
-        for _ in range(1000):
-            c = map_action_absolute(rng.uniform(-1, 1, 4))
-            assert 0.1 - 1e-12 <= c.w <= 0.9 + 1e-12
-            assert c.c1 >= 0.0 and c.c2 >= 0.0
-            assert c.c1 + c.c2 <= 8.0 + 1e-3
-            assert c.c3 == 0.0 and c.c4 == 0.0
+        for _ in range(200):
+            for c in mapped_rows(rng.uniform(-1, 1, 20)):
+                assert 0.1 - 1e-12 <= c.w <= 0.9 + 1e-12
+                assert c.c1 >= 0.0 and c.c2 >= 0.0
+                assert c.c1 + c.c2 <= 8.0 + 1e-3
+                assert c.c3 == 0.0 and c.c4 == 0.0
 
     def test_budget_tracks_fourth_component(self, rng):
-        for _ in range(200):
-            a = rng.uniform(-1, 1, 4)
-            ah = (a + 1.0) / 2.0
-            if ah[1] + ah[2] < 0.1:
-                continue
-            c = map_action_absolute(a)
-            assert c.c1 + c.c2 == pytest.approx(8.0 * ah[3], abs=1e-3)
+        for _ in range(40):
+            action = rng.uniform(-1, 1, 20)
+            for a, c in zip(action.reshape(5, 4), mapped_rows(action)):
+                ah = (a + 1.0) / 2.0
+                if ah[1] + ah[2] < 0.1:
+                    continue
+                assert c.c1 + c.c2 == pytest.approx(8.0 * ah[3], abs=1e-3)
 
 
 class TestRlpsoMapper:
     def test_gate_taken_directly_from_last_component(self):
-        c = map_action_rlpso([0.0, 0.0, 0.0, 0.0, 0.5])
+        c = map_slice([0.0, 0.0, 0.0, 0.0, 0.5], variant="rlpso")
         assert c.c4 == 0.75  # (0.5 + 1) / 2
 
     def test_budget_tracks_gate_component(self, rng):
-        for _ in range(200):
-            a = rng.uniform(-1, 1, 5)
-            ah = (a + 1.0) / 2.0
-            if ah[1] + ah[2] + ah[3] < 0.1:
-                continue
-            c = map_action_rlpso(a)
-            assert c.c1 + c.c2 + c.c3 == pytest.approx(8.0 * ah[4], abs=1e-3)
+        for _ in range(40):
+            action = rng.uniform(-1, 1, 25)
+            for a, c in zip(action.reshape(5, 5), mapped_rows(action, variant="rlpso")):
+                ah = (a + 1.0) / 2.0
+                if ah[1] + ah[2] + ah[3] < 0.1:
+                    continue
+                assert c.c1 + c.c2 + c.c3 == pytest.approx(8.0 * ah[4], abs=1e-3)
 
     def test_three_shares_fill_budget(self, rng):
-        for _ in range(500):
-            c = map_action_rlpso(rng.uniform(-1, 1, 5))
-            assert 0.1 - 1e-12 <= c.w <= 0.9 + 1e-12
-            assert min(c.c1, c.c2, c.c3) >= 0.0
-            assert c.c1 + c.c2 + c.c3 <= 8.0 + 1e-3
-            assert 0.0 <= c.c4 <= 1.0
+        for _ in range(100):
+            for c in mapped_rows(rng.uniform(-1, 1, 25), variant="rlpso"):
+                assert 0.1 - 1e-12 <= c.w <= 0.9 + 1e-12
+                assert min(c.c1, c.c2, c.c3) >= 0.0
+                assert c.c1 + c.c2 + c.c3 <= 8.0 + 1e-3
+                assert 0.0 <= c.c4 <= 1.0
 
 
 class TestRelativeMapper:
+    """Relative mode perturbs the constant schedule (0.729, 1.494, 1.494)."""
+
     def test_zero_action_is_identity(self):
-        origin = CoefficientSet(0.7, 1.4, 1.6, 0.3, 0.2)
-        c = map_action_relative(np.zeros(5), origin)
-        assert (c.w, c.c1, c.c2, c.c3, c.c4) == (0.7, 1.4, 1.6, 0.3, 0.2)
+        c = map_slice(np.zeros(4), "relative")
+        assert (c.w, c.c1, c.c2, c.c3, c.c4) == (0.729, 1.494, 1.494, 0.0, 0.0)
 
     def test_full_positive_inertia_shift(self):
-        c = map_action_relative([1.0, 0.0, 0.0], CoefficientSet(0.4, 1.0, 1.0))
-        assert c.w == pytest.approx(0.9, abs=1e-15)
+        # 0.729 + 0.5 passes the 1.2 ceiling; the attraction terms shift freely
+        c = map_slice([1.0, 1.0, 1.0, 0.0], "relative")
+        assert c.w == pytest.approx(1.2, abs=1e-15)
+        assert c.c1 == pytest.approx(1.994, abs=1e-15)
 
     def test_inertia_clamped_low(self):
-        c = map_action_relative([-1.0, 0.0, 0.0], CoefficientSet(0.2, 1.0, 1.0))
+        # w drops below the 0.05 floor only for a component below -1.358
+        c = map_slice([-1.4, 0.0, 0.0, 0.0], "relative")
         assert c.w == 0.05
 
-    def test_three_wide_action_leaves_extras_at_origin(self):
-        origin = CoefficientSet(0.5, 1.0, 1.0, 0.7, 0.9)
-        c = map_action_relative([0.2, 0.2, 0.2], origin)
-        assert c.c3 == 0.7 and c.c4 == 0.9
+    def test_pso_row_keeps_c4_at_zero(self):
+        c = map_slice([0.2, 0.2, 0.2, 0.2], "relative")
+        assert c.c3 == 0.2 * 0.5 and c.c4 == 0.0
 
 
 def _reference_absolute(a):
@@ -199,14 +213,12 @@ class TestMappingReference:
     ])
     def test_table_matches_scalar_reference(self, mode, variant, reference, rng):
         width = action_width(variant) // 5
-        origin = CoefficientSet(0.729, 1.494, 1.494) if mode == "relative" else None
         for _ in range(500):
             action = rng.uniform(-1, 1, 5 * width)
             edges = rng.random(action.size) < 0.2  # actor outputs clipped to exactly +-1
             action[edges] = rng.choice([-1.0, 1.0], int(edges.sum()))
             expected = np.array([reference(action[g * width:(g + 1) * width]) for g in range(5)])
-            table = np.array([(c.w, c.c1, c.c2, c.c3, c.c4)
-                              for c in coefficient_sets(action, mode, variant, origin)])
+            table = coefficient_sets(action, mode, variant)
             assert table.dtype == np.float64
             assert table.tobytes() == expected.tobytes()
 
@@ -365,19 +377,19 @@ class TestCoefficientPlumbing:
         action = np.concatenate([np.full(4, -1.0), np.full(4, 1.0),
                                  np.zeros(4), np.zeros(4), np.zeros(4)])
         action[12:16] = [1.0, 0.2, 0.2, 1.0]
-        sets = coefficient_sets(action, "absolute", "pso", None)
+        sets = mapped_rows(action)
         assert len(sets) == 5
         assert sets[0].w == pytest.approx(0.1, abs=1e-15)
         assert sets[1].w == pytest.approx(0.9, abs=1e-15)
         assert sets[3].c1 + sets[3].c2 == pytest.approx(8.0, abs=1e-3)
 
-    def test_relative_needs_origin_and_rejects_rlpso(self):
+    def test_relative_rejects_rlpso(self):
         with pytest.raises(ValueError, match="relative"):
-            coefficient_sets(np.zeros(25), "relative", "rlpso", CoefficientSet(0.7, 1, 1))
+            coefficient_sets(np.zeros(25), "relative", "rlpso")
 
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
-            coefficient_sets(np.zeros(19), "absolute", "pso", None)
+            coefficient_sets(np.zeros(19), "absolute", "pso")
 
     def test_baseline_origin_for_pso_is_constant_schedule(self):
         class ZeroPolicy:
@@ -387,7 +399,8 @@ class TestCoefficientPlumbing:
         # a zero action leaves relative mode at its origin
         controller = PolicyController(ZeroPolicy(), "relative", "pso")
         sets = controller(Swarm(flat_objective(2), 10, 1000, seed=1), 10, 100)
-        assert [(c.w, c.c1, c.c2) for c in sets] == [(0.729, 1.494, 1.494)] * 5
+        assert [(c.w, c.c1, c.c2) for c in map(CoefficientSet._make, sets)] \
+            == [(0.729, 1.494, 1.494)] * 5
 
 
 class TestTrainingLoop:
@@ -410,6 +423,15 @@ class TestTrainingLoop:
         agent = DdpgAgent(20, seed=12)
         with pytest.raises(ValueError, match="pool"):
             train(agent, [], 1, "absolute", "pso", 2)
+
+    @pytest.mark.parametrize("name", ["validate_every", "log_every"])
+    def test_negative_cadence_rejected_before_any_episode(self, name, capsys):
+        agent = DdpgAgent(20, seed=13, warmup=10_000)
+        with pytest.raises(ValueError, match=name):
+            train(agent, ["sphere"], 3, "absolute", "pso", 2,
+                  n_particles=10, budget=40, seed=0, **{name: -1})
+        assert len(agent.buffer) == 0
+        assert capsys.readouterr().out == ""
 
     def test_action_width_mismatch_rejected(self):
         agent = DdpgAgent(20, seed=13)
@@ -470,7 +492,7 @@ class TestAdaptedRun:
             w[:] = 0.0
         for b in agent.actor.biases:
             b[:] = 0.0
-        expected = map_action_absolute(np.zeros(4))
+        expected = map_slice(np.zeros(4))
         assert expected.w == 0.5
         assert expected.c1 == pytest.approx(2.0, abs=1e-4)
 

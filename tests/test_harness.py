@@ -340,3 +340,36 @@ class TestModelContract:
         with pytest.raises(ValueError, match="action_width=25"):
             run_single("rlam-relative", "sphere", 2, 1, 100, 1, particles=8,
                        model=self._model(mode="relative", action_width="25"))
+
+
+class TestControllerContract:
+    """Every algorithm's controller returns a (5, 5) coefficient table and
+    tags its records as it always has."""
+
+    ADAPTER_TAGS = {"pso": "none", "pso-linear": "linear_dec_w", "pso-tvac": "tvac",
+                    "clpso": "linear_dec_w", "rlam-absolute": "rlam-absolute",
+                    "rlam-relative": "rlam-relative", "rlpso": "rlam-absolute"}
+
+    def test_tags_cover_every_algorithm(self):
+        assert set(self.ADAPTER_TAGS) == set(ALGORITHMS)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_table_at_first_and_last_iteration(self, algorithm):
+        from rlapso import harness
+        from rlapso.benchmarks import make_objective
+        from rlapso.ddpg import DdpgAgent, PolicyController, action_width
+        from rlapso.swarm import Swarm
+
+        variant, controller = harness._ALGORITHM_TABLE[algorithm]
+        if isinstance(controller, str):  # the mode of a model-driven algorithm
+            controller = PolicyController(DdpgAgent(action_width(variant), seed=6),
+                                          controller, variant)
+        swarm = Swarm(make_objective("rastrigin", 10, 5), 40, 1000, seed=7, variant=variant)
+        t_max = 1000 // 40 - 1
+        for t in (0, t_max):
+            table = controller(swarm, t, t_max)
+            assert isinstance(table, np.ndarray)
+            assert table.dtype == np.float64 and table.shape == (5, 5)
+            assert np.all(np.isfinite(table))
+            assert np.all((table[:, 0] >= 0.05) & (table[:, 0] <= 1.2))
+        assert controller.adapter == self.ADAPTER_TAGS[algorithm]

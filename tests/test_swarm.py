@@ -475,6 +475,18 @@ class TestSchedules:
         assert (c.w, c.c1) == (schedule_coeffs("linear_dec_w", 25, 100).w, 1.494)
 
 
+class TestStepTable:
+    @pytest.mark.parametrize("variant", ["pso", "clpso", "rlpso"])
+    @pytest.mark.parametrize("rows", [4, 6])
+    def test_wrong_row_count_refused(self, variant, rows):
+        swarm = Swarm(make_objective("sphere", 2, 1), 10, 100, seed=1, variant=variant)
+        before = swarm.positions.copy()
+        with pytest.raises(ValueError, match=r"\(5, 5\) table"):
+            swarm.step(np.array(const_coeffs(0.7, 1.5, 1.5, groups=rows)))
+        assert swarm.eval_count == 10
+        assert np.array_equal(swarm.positions, before)
+
+
 class TestDrive:
     @pytest.mark.parametrize("variant", ["pso", "clpso", "rlpso"])
     def test_matches_a_hand_written_step_loop(self, variant):
