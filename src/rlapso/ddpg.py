@@ -243,14 +243,15 @@ def coefficient_sets(action, mode: str, variant: str) -> np.ndarray:
     slices = action.reshape(DEFAULT_SUBGROUPS, width)
     table = np.zeros((DEFAULT_SUBGROUPS, 5))
     if mode == "absolute":
-        ah = (slices.T + 1.0) / 2.0  # ah[k]: component k of every slice, moved to [0, 1]
-        shares = ah[1:-1]
+        ah = (slices + 1.0) / 2.0  # each slice moved to [0, 1]
         # add the shares left to right, (s1 + s2) + s3: the order fixes the last bits
-        scale = 1.0 / (sum(shares[1:], shares[0]) + 1e-5) * ah[-1] * 8.0
-        table[:, 0] = ah[0] * 0.8 + 0.1
-        table[:, 1:width - 1] = (scale * shares).T
+        total = ah[:, 1] + ah[:, 2]
         if variant == "rlpso":
-            table[:, 4] = ah[-1]
+            total += ah[:, 3]
+            table[:, 4] = ah[:, 4]
+        scale = 1.0 / (total + 1e-5) * ah[:, -1] * 8.0
+        table[:, 0] = ah[:, 0] * 0.8 + 0.1
+        table[:, 1:width - 1] = scale[:, None] * ah[:, 1:-1]
     elif mode == "relative":
         if variant == "rlpso":
             raise ValueError("relative mode is undefined for rlpso (no baseline coefficients)")
