@@ -15,17 +15,15 @@ critic, and soft target tracking.
 """
 from __future__ import annotations
 
-import ctypes
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .benchmarks import make_objective
-from .neural import (AdamState, GradientTape, Gradients, Mlp, adam_update, load_weights,
-                     save_weights, soft_update)
+from .neural import (AdamState, GradientTape, Mlp, adam_update, load_weights, save_weights,
+                     soft_update)
 from .swarm import CONSTANT_COEFFS, DEFAULT_SUBGROUPS, RunRecord, Swarm, drive
 
 STATE_WIDTH = 15
@@ -112,37 +110,13 @@ class ReplayBuffer:
         return tuple(self._ring[idx, field] for field in self._fields)
 
 
-_M_TRIM_THRESHOLD = -1  # glibc's mallopt parameter number
-_HEAP_TRIM_THRESHOLD = 64 << 20
-
-
-def _retain_freed_heap() -> None:
-    """Stop glibc's malloc from handing freed heap memory back to the system.
-
-    A learner step allocates and frees dozens of numpy temporaries of up to
-    64 KB.  Under glibc's default 128 KB trim threshold the heap shrinks
-    after each step and page-faults back in during the next, about 260
-    minor faults per step, which cost a quarter of the step.  Results do not
-    change.  Other C libraries are left alone.
-    """
-    try:
-        if not os.confstr("CS_GNU_LIBC_VERSION"):
-            return
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, ValueError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, _HEAP_TRIM_THRESHOLD)
-
-
 class DdpgAgent:
     """Actor/critic pair with target copies, replay buffer, and Adam states.
 
     The actor maps the 15-wide encoded state to ``action_dim`` tanh outputs;
-    the critic scores state and action concatenated at its input.  Creating
-    an agent raises the process's malloc trim threshold (glibc only, see
-    ``_retain_freed_heap``).
+    the critic scores state and action concatenated at its input.  Each
+    network has its own ``GradientTape``, which owns the arrays of the
+    learner's passes through it.
     """
 
     def __init__(self, action_dim: int, seed: int, *, state_dim: int = STATE_WIDTH,
@@ -163,7 +137,6 @@ class DdpgAgent:
         self.warmup = warmup
         self.actor_lr = actor_lr
         self.critic_lr = critic_lr
-        _retain_freed_heap()
         init_rng = np.random.default_rng(seed)
         self.noise_rng = np.random.default_rng(seed + 1)
         self.actor = Mlp.init([state_dim, *actor_hidden, action_dim], "tanh", init_rng)
@@ -173,10 +146,8 @@ class DdpgAgent:
         self.actor_opt = AdamState(self.actor)
         self.critic_opt = AdamState(self.critic)
         self.buffer = ReplayBuffer(buffer_capacity, seed + 2)
-        # parameter-sized buffers reused by every step: allocating them anew
-        # each step lets the heap shrink and regrow, page-faulting every time
-        self._actor_grads = Gradients.like(self.actor)
-        self._critic_grads = Gradients.like(self.critic)
+        self._tapes = {name: GradientTape()
+                       for name in ("actor", "critic", "actor_target", "critic_target")}
         self._scratch = np.empty(max(self.actor.params.size, self.critic.params.size))
 
     def act(self, encoded_state, explore: bool) -> np.ndarray:
@@ -201,31 +172,29 @@ class DdpgAgent:
             )
         states, actions, rewards, next_states = self.buffer.sample(self.batch_size)
         b = self.batch_size
+        tapes = self._tapes
 
         # bootstrap target: y = r + gamma * Q'(s', mu'(s')), treated as constant
-        next_actions = self.actor_target.forward(next_states)
-        q_next = self.critic_target.forward(np.hstack([next_states, next_actions]))
+        next_actions = self.actor_target.forward(next_states, tapes["actor_target"])
+        q_next = self.critic_target.forward(np.hstack([next_states, next_actions]),
+                                            tapes["critic_target"])
         y = rewards[:, None] + self.gamma * q_next
 
-        tape = GradientTape()
-        q = self.critic.forward(np.hstack([states, actions]), tape)
+        # the critic's regression pass is consumed before its second pass reuses the tape
+        q = self.critic.forward(np.hstack([states, actions]), tapes["critic"])
         err = q - y
         critic_loss = float(np.mean(err**2))
-        grads, _ = self.critic.backward(tape, 2.0 * err / b, out=self._critic_grads,
-                                        input_grad=False)
+        grads, _ = self.critic.backward(tapes["critic"], 2.0 * err / b, input_grad=False)
         adam_update(self.critic, grads, self.critic_opt, self.critic_lr)
 
         # actor ascends mean Q(s, mu(s)); chain the critic's action gradient
-        actor_tape = GradientTape()
-        pred_actions = self.actor.forward(states, actor_tape)
-        critic_tape = GradientTape()
-        q_pred = self.critic.forward(np.hstack([states, pred_actions]), critic_tape)
+        pred_actions = self.actor.forward(states, tapes["actor"])
+        q_pred = self.critic.forward(np.hstack([states, pred_actions]), tapes["critic"])
         actor_objective = float(np.mean(q_pred))
-        _, input_grad = self.critic.backward(critic_tape, np.full((b, 1), 1.0 / b),
+        _, input_grad = self.critic.backward(tapes["critic"], np.full((b, 1), 1.0 / b),
                                              param_grads=False)
         action_grad = input_grad[:, self.state_dim :]
-        actor_grads, _ = self.actor.backward(actor_tape, action_grad, out=self._actor_grads,
-                                             input_grad=False)
+        actor_grads, _ = self.actor.backward(tapes["actor"], action_grad, input_grad=False)
         np.negative(actor_grads.flat, out=actor_grads.flat)  # gradient *ascent* on the critic value
         adam_update(self.actor, actor_grads, self.actor_opt, self.actor_lr)
 
@@ -455,10 +424,15 @@ def load_model(path) -> tuple[ActorPolicy, dict]:
     actor = load_weights(path)
     meta = {}
     with open(sidecar, "r", encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            meta[key.strip()] = value.strip()
+            key, sep, value = line.partition("=")
+            key = key.strip()
+            if not sep:
+                raise ValueError(f"{sidecar} line {lineno}: expected key=value, got {line!r}")
+            if key in meta:
+                raise ValueError(f"{sidecar} line {lineno}: duplicate key {key!r}")
+            meta[key] = value.strip()
     return ActorPolicy(actor), meta

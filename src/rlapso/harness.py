@@ -178,6 +178,8 @@ class ExperimentConfig:
             raise ConfigError("config uses a model-driven algorithm but sets no model path")
         if self.runs < 1 or self.budget < self.particles or self.dim < 2:
             raise ConfigError("runs, budget, and dim must be sensible positive values")
+        if self.particles < DEFAULT_SUBGROUPS:
+            raise ConfigError(f"need at least {DEFAULT_SUBGROUPS} particles, got {self.particles}")
         return self
 
 
@@ -212,7 +214,10 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(
                 f"line {lineno}: duplicate config key {key!r} (first set on line {set_on[key]})")
         set_on[key] = lineno
-        values[key] = _CONFIG_KEYS[key](value.strip())
+        try:
+            values[key] = _CONFIG_KEYS[key](value.strip())
+        except ValueError:
+            raise ConfigError(f"line {lineno}: invalid value for {key!r}: {line!r}") from None
     if "functions" not in values or "algorithms" not in values:
         raise ConfigError("config must set both 'functions' and 'algorithms'")
     return ExperimentConfig(**values).validate()

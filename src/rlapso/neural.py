@@ -6,6 +6,9 @@ identity.  ``forward`` accepts a single vector or a (batch, features) matrix;
 gradient with respect to the input, which is how the critic's action
 gradient reaches the actor.
 
+A ``GradientTape`` owns every array of the pass it records, so what a taped
+pass returns stays valid until that tape's next pass.
+
 Each network keeps all its parameters in one contiguous float64 vector,
 ``Mlp.params``: every weight matrix row-major (layer by layer, shaped
 (fan_out, fan_in)), then every bias vector.  This is exactly the payload of
@@ -45,10 +48,14 @@ class WeightsTruncatedError(WeightsError):
     """File ends before the advertised parameters are all present."""
 
 
-def _leaky(z: np.ndarray) -> np.ndarray:
+def _leaky(z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
     # equals np.where(z > 0, z, LEAKY_SLOPE * z) for every finite z
-    a = LEAKY_SLOPE * z
+    a = np.multiply(z, LEAKY_SLOPE, out=out)
     return np.maximum(z, a, out=a)
+
+
+def _untaped(key, shape) -> None:
+    """Stands in for ``GradientTape.buffer`` in an untaped pass: numpy allocates."""
 
 
 def _layer_views(flat: np.ndarray, dims) -> tuple[list, list]:
@@ -82,17 +89,28 @@ def _flatten(dims, weights, biases) -> np.ndarray:
 
 
 class GradientTape:
-    """Forward-pass cache consumed by ``Mlp.backward``."""
+    """One recorded pass of a network, consumed by ``Mlp.backward``.
+
+    The tape owns every array of the pass: each layer's pre-activation and
+    activation, backward's ``dz`` and upstream products, and one
+    ``Gradients`` buffer, allocated on first use and again only when the
+    batch shape changes.  So what a taped ``forward`` or ``backward``
+    returns stays valid until this tape's next pass.
+    """
 
     def __init__(self):
         self.inputs = None       # list of layer inputs, one per weight layer
         self.pre_acts = None     # list of pre-activations z_k
         self.output = None
+        self.grads = None
+        self._arrays = {}
 
-    def reset(self):
-        self.inputs = []
-        self.pre_acts = []
-        self.output = None
+    def buffer(self, key, shape) -> np.ndarray:
+        """The tape's float64 array for ``key``, reallocated if ``shape`` changed."""
+        a = self._arrays.get(key)
+        if a is None or a.shape != shape:
+            a = self._arrays[key] = np.empty(shape)
+        return a
 
 
 class Gradients:
@@ -101,12 +119,8 @@ class Gradients:
 
     def __init__(self, flat: np.ndarray, layer_dims):
         self.flat = flat
+        self.layer_dims = list(layer_dims)
         self.weights, self.biases = _layer_views(flat, layer_dims)
-
-    @classmethod
-    def like(cls, net: "Mlp") -> "Gradients":
-        """An uninitialized gradient buffer laid out like ``net.params``."""
-        return cls(np.empty_like(net.params), net.layer_dims)
 
 
 class Mlp:
@@ -163,38 +177,34 @@ class Mlp:
             a = a[None, :]
         if a.shape[1] != self.layer_dims[0]:
             raise ValueError(f"expected input width {self.layer_dims[0]}, got {a.shape[1]}")
-        if tape is not None:
-            tape.reset()
+        buffer = _untaped if tape is None else tape.buffer
+        inputs, pre_acts = [], []
         last = self.n_layers - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if tape is not None:
-                tape.inputs.append(a)
-            z = a @ w.T
+            inputs.append(a)
+            z = np.matmul(a, w.T, out=buffer(("z", k), (a.shape[0], w.shape[0])))
             z += b
-            if tape is not None:
-                tape.pre_acts.append(z)
+            pre_acts.append(z)
             if k < last:
-                a = _leaky(z)
+                a = _leaky(z, buffer(("a", k), z.shape))
             elif self.output_activation == "tanh":
-                a = np.tanh(z)
+                a = np.tanh(z, out=buffer(("a", k), z.shape))
             else:
                 a = z
         if tape is not None:
-            tape.output = a
+            tape.inputs, tape.pre_acts, tape.output = inputs, pre_acts, a
         return a[0] if single else a
 
     def backward(self, tape: GradientTape, output_grad, param_grads: bool = True,
-                 out: Gradients | None = None, input_grad: bool = True
-                 ) -> tuple[Gradients | None, np.ndarray | None]:
-        """Backpropagate ``output_grad`` through the cached forward pass.
+                 input_grad: bool = True) -> tuple[Gradients | None, np.ndarray | None]:
+        """Backpropagate ``output_grad`` through the pass recorded on ``tape``.
 
         Returns parameter gradients (summed over the batch) and the gradient
         with respect to the network input, shaped like the forward input.
-        The parameter gradients are written into ``out`` when given (a
-        ``Gradients.like(self)`` kept across calls), else into a new buffer.
-        With ``param_grads=False`` only the input gradient is computed and
-        the first element is None; with ``input_grad=False`` the first
-        layer's input product is skipped and the second element is None.
+        Both live in the tape's buffers (see ``GradientTape``).  With
+        ``param_grads=False`` only the input gradient is computed and the
+        first element is None; with ``input_grad=False`` the first layer's
+        input product is skipped and the second element is None.
         """
         if tape is None or tape.output is None:
             raise RuntimeError("backward requires a forward pass recorded on the tape")
@@ -204,27 +214,30 @@ class Mlp:
             g = g[None, :]
         if g.shape != tape.output.shape:
             raise ValueError(f"output_grad shape {g.shape} != output shape {tape.output.shape}")
-        grads = None
-        if param_grads:
-            grads = Gradients.like(self) if out is None else out
-            if grads.flat.shape != self.params.shape:
-                raise ValueError(f"gradient buffer shape {grads.flat.shape} != "
-                                 f"parameter shape {self.params.shape}")
+        if param_grads and (tape.grads is None or tape.grads.layer_dims != self.layer_dims):
+            tape.grads = Gradients(np.empty_like(self.params), self.layer_dims)
+        grads = tape.grads if param_grads else None
         upstream = g
         for k in range(self.n_layers - 1, -1, -1):
-            if k == self.n_layers - 1:
-                if self.output_activation == "tanh":
-                    dz = upstream * (1.0 - tape.output**2)
-                else:
-                    dz = upstream
+            dz = tape.buffer(("dz", k), upstream.shape)
+            if k < self.n_layers - 1:
+                # upstream times the leaky-ReLU derivative, exactly 1.0 or LEAKY_SLOPE
+                np.greater(tape.pre_acts[k], 0.0, out=dz)
+                dz *= 1.0 - LEAKY_SLOPE
+                dz += LEAKY_SLOPE
+                dz *= upstream
+            elif self.output_activation == "tanh":  # upstream * (1 - output**2)
+                np.multiply(tape.output, tape.output, out=dz)
+                np.subtract(1.0, dz, out=dz)
+                np.multiply(upstream, dz, out=dz)
             else:
-                # upstream times the leaky-ReLU derivative (1 or LEAKY_SLOPE)
-                dz = np.where(tape.pre_acts[k] > 0.0, upstream, LEAKY_SLOPE * upstream)
+                np.copyto(dz, upstream)
             if grads is not None:
                 np.matmul(dz.T, tape.inputs[k], out=grads.weights[k])
                 dz.sum(axis=0, out=grads.biases[k])
             if k > 0 or input_grad:
-                upstream = dz @ self.weights[k]
+                upstream = np.matmul(dz, self.weights[k],
+                                     out=tape.buffer(("up", k), tape.inputs[k].shape))
         if not input_grad:
             return grads, None
         return grads, (upstream[0] if single else upstream)

@@ -175,9 +175,6 @@ class Swarm:
             for i in range(n):
                 self.assign_exemplar(i)
 
-    def group_of(self, i: int) -> int:
-        return int(self._group[i])
-
     # -- exemplar machinery -------------------------------------------------
 
     def _tournament_winner(self, i: int) -> int:

@@ -1,6 +1,7 @@
 """State encoding, action mapping, reward, replay, and the training loop."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -359,6 +360,26 @@ class TestAgent:
         losses = [agent.train_step()[0] for _ in range(200)]
         assert losses[-1] < 0.1 * first_loss
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="counts minor page faults with getrusage on Linux")
+    def test_train_step_does_not_page_fault(self):
+        # every array of a step lives on a network's tape, so the heap neither
+        # shrinks nor regrows between steps
+        import resource
+
+        agent = DdpgAgent(20, seed=10, warmup=64)
+        rng = np.random.default_rng(11)
+        for _ in range(256):
+            agent.buffer.push(rng.uniform(-1, 1, 15), rng.uniform(-1, 1, 20), 1.0,
+                              rng.uniform(-1, 1, 15))
+        for _ in range(20):  # warm-up: the tapes allocate their arrays
+            agent.train_step()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(200):
+            agent.train_step()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / 200 < 10
+
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError, match="tau"):
             DdpgAgent(4, seed=0, tau=0.0)
@@ -528,6 +549,26 @@ class TestModelFiles:
         assert meta["state_width"] == "15"
         s = np.linspace(-0.5, 0.5, 15)
         assert np.array_equal(policy.act(s), agent.act(s, explore=False))
+
+    def test_sidecar_line_without_equals_rejected(self, tmp_path):
+        agent = DdpgAgent(20, seed=19)
+        path = tmp_path / "model.bin"
+        save_model(agent.actor, path, mode="absolute", variant="pso",
+                   pool=["sphere"], episodes=1, seed=19)
+        with open(tmp_path / "model.bin.meta", "a", encoding="utf-8") as f:
+            f.write("mode\n")  # the sidecar holds 8 lines before this one
+        with pytest.raises(ValueError, match="line 9: expected key=value"):
+            load_model(path)
+
+    def test_sidecar_repeated_key_rejected(self, tmp_path):
+        agent = DdpgAgent(20, seed=19)
+        path = tmp_path / "model.bin"
+        save_model(agent.actor, path, mode="absolute", variant="pso",
+                   pool=["sphere"], episodes=1, seed=19)
+        with open(tmp_path / "model.bin.meta", "a", encoding="utf-8") as f:
+            f.write("mode=relative\n")
+        with pytest.raises(ValueError, match="line 9: duplicate key 'mode'"):
+            load_model(path)
 
     def test_missing_sidecar_rejected(self, tmp_path):
         agent = DdpgAgent(20, seed=19)

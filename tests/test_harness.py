@@ -174,6 +174,14 @@ class TestConfig:
                                               r"\(first set on line 2\)"):
             parse_config(text)
 
+    def test_unparsable_number_names_key_and_line(self):
+        with pytest.raises(ConfigError, match=r"line 3: invalid value for 'dim': 'dim = ten'"):
+            parse_config("functions=sphere\nalgorithms=pso\ndim = ten\n")
+
+    def test_fewer_particles_than_subgroups_rejected(self):
+        with pytest.raises(ConfigError, match="need at least 5 particles, got 3"):
+            parse_config("functions=sphere\nalgorithms=pso\nparticles = 3\n")
+
     def test_missing_required_keys_rejected(self):
         with pytest.raises(ConfigError, match="must set"):
             parse_config("dim=4\n")

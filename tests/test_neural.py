@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rlapso.neural import (
+    LEAKY_SLOPE,
     AdamState,
     GradientTape,
     Gradients,
@@ -35,6 +36,27 @@ def finite_difference(net, x, out_grad, param, index, eps=1e-5):
     f_minus = float(np.sum(out_grad * net.forward(x)))
     param[index] = original
     return (f_plus - f_minus) / (2.0 * eps)
+
+
+def reference_backward(net, x, out_grad):
+    """Parameter and input gradients of a tanh-output net from freshly
+    allocated arrays, with the textbook derivative formulas."""
+    inputs, pre_acts, a = [], [], x
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        inputs.append(a)
+        z = a @ w.T + b
+        pre_acts.append(z)
+        a = np.where(z > 0.0, z, LEAKY_SLOPE * z) if k < net.n_layers - 1 else np.tanh(z)
+    w_grads, b_grads = [None] * net.n_layers, [None] * net.n_layers
+    upstream = out_grad
+    for k in reversed(range(net.n_layers)):
+        if k == net.n_layers - 1:
+            dz = upstream * (1.0 - a**2)
+        else:
+            dz = np.where(pre_acts[k] > 0.0, upstream, LEAKY_SLOPE * upstream)
+        w_grads[k], b_grads[k] = dz.T @ inputs[k], dz.sum(axis=0)
+        upstream = dz @ net.weights[k]
+    return np.concatenate([g.ravel() for g in w_grads + b_grads]), upstream
 
 
 def check_gradients(net, rng, probes=100, tol=1e-5):
@@ -182,16 +204,17 @@ class TestFlatLayout:
         grads, _ = net.backward(tape, np.ones((4, 2)))
         expected = np.concatenate([g.ravel() for g in grads.weights] + list(grads.biases))
         assert np.array_equal(grads.flat, expected)
-        buffer = Gradients.like(net)
-        reused, _ = net.backward(tape, np.ones((4, 2)), out=buffer)
-        assert reused is buffer
-        assert np.array_equal(buffer.flat, grads.flat)
+        first = grads.flat.copy()
+        reused, _ = net.backward(tape, np.ones((4, 2)))
+        assert reused is grads
+        assert np.array_equal(reused.flat, first)
 
     def test_input_gradient_alone_matches_full_backward(self):
         net = Mlp.init([6, 8, 8, 1], "identity", np.random.default_rng(20))
         tape = GradientTape()
         net.forward(np.random.default_rng(21).uniform(-1, 1, (5, 6)), tape)
         _, full = net.backward(tape, np.full((5, 1), 0.2))
+        full = full.copy()  # the next pass on this tape overwrites it
         grads, alone = net.backward(tape, np.full((5, 1), 0.2), param_grads=False)
         assert grads is None
         assert np.array_equal(full, alone)
@@ -204,9 +227,24 @@ class TestFlatLayout:
         net.forward(np.random.default_rng(23).uniform(-1, 1, shape), tape)
         out_grad = np.full(shape[:-1] + (2,), 0.3)
         with_input, full = net.backward(tape, out_grad)
+        with_input = with_input.flat.copy()  # the next pass on this tape overwrites it
         without, skipped = net.backward(tape, out_grad, input_grad=False)
         assert skipped is None and full.shape == shape
-        assert np.array_equal(with_input.flat, without.flat)
+        assert np.array_equal(with_input, without.flat)
+
+    def test_taped_passes_across_batch_shapes_match_untaped(self):
+        net = Mlp.init([4, 6, 6, 3], "tanh", np.random.default_rng(24))
+        rng = np.random.default_rng(25)
+        tape = GradientTape()
+        for batch in (4, 7, 4):
+            x = rng.uniform(-1, 1, (batch, 4))
+            out_grad = rng.uniform(-1, 1, (batch, 3))
+            taped = net.forward(x, tape)
+            grads, input_grad = net.backward(tape, out_grad)
+            expected_grads, expected_input = reference_backward(net, x, out_grad)
+            assert np.array_equal(taped, net.forward(x))
+            assert np.array_equal(grads.flat, expected_grads)
+            assert np.array_equal(input_grad, expected_input)
 
     def test_wrong_weight_shape_rejected(self):
         with pytest.raises(ValueError, match="shape"):

@@ -630,7 +630,7 @@ class TestSwarmInvariants:
 
     def test_subgroup_partition_is_contiguous_with_remainder_last(self):
         swarm = Swarm(flat_objective(2), 43, 1000, seed=19)
-        groups = [swarm.group_of(i) for i in range(43)]
+        groups = swarm._group.tolist()
         assert groups == sorted(groups)
         sizes = [groups.count(g) for g in range(5)]
         assert sizes == [8, 8, 8, 8, 11]
