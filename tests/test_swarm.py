@@ -277,7 +277,10 @@ class TestRlpsoStep:
 class _Oracle:
     """The documented per-particle draw order, replayed on copies of a swarm's
     state with a generator cloned from the swarm's.  Counters record which
-    branches fired, so a test can show that its case reached them."""
+    branches fired, so a test can show that its case reached them:
+    ``early_gbest`` counts gbest improvements before an iteration's last
+    particle, whose later particles must see the new gbest, and
+    ``most_gbest_moves`` is the most gbest improvements in one iteration."""
 
     def __init__(self, swarm):
         self.obj = swarm.objective
@@ -296,6 +299,7 @@ class _Oracle:
         self.rng = np.random.default_rng()
         self.rng.bit_generator.state = swarm.rng.bit_generator.state
         self.clamped_v = self.clamped_x = self.mutations = self.reassigned = 0
+        self.early_gbest = self.most_gbest_moves = 0
         self.cut_short = False
 
     def _group(self, i):
@@ -326,6 +330,8 @@ class _Oracle:
         if fit < self.gbest_fit:
             self.gbest_fit = fit
             self.gbest_pos = self.pos[i].copy()
+            self.early_gbest += int(i < self._last)
+            self._gbest_moves += 1
         if m is not None and not improved:
             self.stall[i] += 1
             if self.stall[i] > m:
@@ -335,6 +341,8 @@ class _Oracle:
 
     def step(self, variant, coeffs, m=7):
         start = self.gbest_fit
+        self._last = min(self.n, self.budget - self.evals) - 1
+        self._gbest_moves = 0
         for i in range(self.n):
             if self.evals >= self.budget:
                 self.cut_short = True
@@ -367,6 +375,7 @@ class _Oracle:
             else:
                 fit = self._land(i, x + v, v)
             self._record(i, fit, m)
+        self.most_gbest_moves = max(self.most_gbest_moves, self._gbest_moves)
         improved = self.gbest_fit < start
         if improved:
             self.last_improve_eval = self.evals
@@ -392,7 +401,7 @@ class TestDrawOrderOracle:
 
     N, DIM, STEPS, TAIL = 10, 4, 4, 6
 
-    def _swarm(self, variant, seed):
+    def _swarm(self, variant, seed, stale_gbest=False):
         budget = self.N * self.STEPS + self.TAIL
         swarm = Swarm(make_objective("rastrigin_rot", self.DIM, seed), self.N, budget,
                       seed=seed, variant=variant, subgroup_count=5)
@@ -401,6 +410,12 @@ class TestDrawOrderOracle:
         swarm.positions[::2] = 97.0 * side
         swarm.velocities[::2] = swarm.v_max * side
         swarm.stall[:] = [100, 0, 100, 40, 100, 7, 100, 3, 100, 60]
+        if stale_gbest:
+            # gbest starts at the worst pbest, so it moves before an
+            # iteration's last particle and the particles after it must see that
+            worst = int(np.argmax(swarm.pbest_fit))
+            swarm.gbest_fit = float(swarm.pbest_fit[worst])
+            swarm.gbest_pos = swarm.pbest_pos[worst].copy()
         return swarm
 
     def _assert_same(self, swarm, oracle):
@@ -416,8 +431,8 @@ class TestDrawOrderOracle:
         assert swarm.last_improve_eval == oracle.last_improve_eval
         assert swarm.rng.bit_generator.state == oracle.rng.bit_generator.state
 
-    def _run(self, variant, seed, step, coeffs):
-        swarm = self._swarm(variant, seed)
+    def _run(self, variant, seed, step, coeffs, stale_gbest=False):
+        swarm = self._swarm(variant, seed, stale_gbest)
         oracle = _Oracle(swarm)
         for _ in range(self.STEPS):
             expected = oracle.step(variant, coeffs)
@@ -429,7 +444,21 @@ class TestDrawOrderOracle:
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_pso(self, seed):
-        self._run("pso", seed, lambda s: s.pso_step(STRESS_COEFFS), STRESS_COEFFS)
+        oracle = self._run("pso", seed, lambda s: s.pso_step(STRESS_COEFFS), STRESS_COEFFS,
+                           stale_gbest=True)
+        assert oracle.early_gbest >= 1
+
+    def test_pso_gbest_moves_within_iterations(self):
+        """40 particles on 10-D sphere for 15 iterations: gbest improves
+        before the last particle, and twice within one iteration, so every
+        later particle of those iterations must steer by the new gbest."""
+        coeffs = [CoefficientSet(0.729, 1.494, 1.494)] * 5
+        swarm = Swarm(make_objective("sphere", 10, 4), 40, 40 * 16, seed=4)
+        oracle = _Oracle(swarm)
+        for _ in range(15):
+            assert swarm.pso_step(coeffs) == oracle.step("pso", coeffs)
+            self._assert_same(swarm, oracle)
+        assert oracle.early_gbest >= 1 and oracle.most_gbest_moves >= 2
 
     @pytest.mark.parametrize("seed", [33, 34])
     def test_clpso(self, seed):
