@@ -146,8 +146,7 @@ class DdpgAgent:
         self.actor_opt = AdamState(self.actor)
         self.critic_opt = AdamState(self.critic)
         self.buffer = ReplayBuffer(buffer_capacity, seed + 2)
-        self._tapes = {name: GradientTape()
-                       for name in ("actor", "critic", "actor_target", "critic_target")}
+        self._tapes = {"actor": GradientTape(), "critic": GradientTape()}
         self._scratch = np.empty(max(self.actor.params.size, self.critic.params.size))
 
     def act(self, encoded_state, explore: bool) -> np.ndarray:
@@ -174,10 +173,12 @@ class DdpgAgent:
         b = self.batch_size
         tapes = self._tapes
 
-        # bootstrap target: y = r + gamma * Q'(s', mu'(s')), treated as constant
-        next_actions = self.actor_target.forward(next_states, tapes["actor_target"])
+        # bootstrap target: y = r + gamma * Q'(s', mu'(s')), treated as constant.
+        # The target passes borrow the online networks' tapes (same layer
+        # shapes): hstack and y consume their outputs before the online passes.
+        next_actions = self.actor_target.forward(next_states, tapes["actor"])
         q_next = self.critic_target.forward(np.hstack([next_states, next_actions]),
-                                            tapes["critic_target"])
+                                            tapes["critic"])
         y = rewards[:, None] + self.gamma * q_next
 
         # the critic's regression pass is consumed before its second pass reuses the tape

@@ -174,6 +174,11 @@ class ExperimentConfig:
         for a in self.algorithms:
             if a not in ALGORITHMS:
                 raise ConfigError(f"unknown algorithm {a!r}; valid: {', '.join(ALGORITHMS)}")
+        # each (function, algorithm) pair names its curve files and summary row
+        for key, names in (("functions", self.functions), ("algorithms", self.algorithms)):
+            for i, name in enumerate(names):
+                if name in names[:i]:
+                    raise ConfigError(f"{key} lists {name!r} more than once")
         if any(_needs_model(a) for a in self.algorithms) and not self.model:
             raise ConfigError("config uses a model-driven algorithm but sets no model path")
         if self.runs < 1 or self.budget < self.particles or self.dim < 2:

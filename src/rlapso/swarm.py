@@ -114,13 +114,24 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Controller that gives every subgroup one offline schedule's coefficients."""
+    """Controller that gives every subgroup one offline schedule's coefficients.
+
+    The constant schedule returns one read-only table per subgroup count."""
 
     kind: str
     adapter: str
+    _constant_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, swarm: Swarm, t: int, t_max: int) -> np.ndarray:
-        return np.full((swarm.subgroup_count, 5), schedule_coeffs(self.kind, t, t_max))
+        coeffs = schedule_coeffs(self.kind, t, t_max)
+        if self.kind != "constant":
+            return np.full((swarm.subgroup_count, 5), coeffs)
+        table = self._constant_tables.get(swarm.subgroup_count)
+        if table is None:
+            table = np.full((swarm.subgroup_count, 5), coeffs)
+            table.flags.writeable = False
+            self._constant_tables[swarm.subgroup_count] = table
+        return table
 
 
 def learning_probability(i: int, n: int) -> float:
@@ -216,28 +227,30 @@ class Swarm:
                 f"evaluation budget {self.eval_budget} exhausted (eval_count={self.eval_count})"
             )
 
-    def _fly(self, i: int, v: np.ndarray) -> float:
-        """Clamp velocity ``v`` to the speed limit in place, then land particle
-        i at its position plus ``v``."""
+    def _fly(self, rows, x: np.ndarray, v: np.ndarray) -> None:
+        """Clamp velocities ``v`` to the speed limit in place, then land the
+        particles ``rows`` (an index or a slice) at positions ``x + v``."""
         np.maximum(v, -self.v_max, out=v)
         np.minimum(v, self.v_max, out=v)
-        return self._land(i, self.positions[i] + v, v)
+        self._land(rows, x + v, v)
 
-    def _land(self, i: int, x: np.ndarray, v: np.ndarray) -> float:
-        """Clamp to bounds (zeroing clamped velocity components), store, evaluate."""
+    def _land(self, rows, x: np.ndarray, v: np.ndarray) -> None:
+        """Clamp ``x`` to bounds (zeroing clamped velocity components) and
+        store it as the particles ``rows``."""
         lower, upper = self.objective.lower, self.objective.upper
         out = (x < lower) | (x > upper)
         if out.any():
             np.maximum(x, lower, out=x)
             np.minimum(x, upper, out=x)
             v[out] = 0.0
-        self.positions[i] = x
-        self.velocities[i] = v
-        fit = self.objective.evaluate(x)
-        self.eval_count += 1
-        return fit
+        self.positions[rows] = x
+        self.velocities[rows] = v
 
-    def _record(self, i: int, fit: float) -> bool:
+    def _record(self, i: int) -> bool:
+        """Evaluate particle i where it landed and update its pbest and the
+        gbest; returns whether its pbest improved."""
+        fit = self.objective.evaluate(self.positions[i])
+        self.eval_count += 1
         improved = fit < self.pbest_fit[i]
         if improved:
             self.pbest_fit[i] = fit
@@ -284,13 +297,21 @@ class Swarm:
         k = min(self.n, self.eval_budget - self.eval_count)
         rows = table[self._group[:k]]  # each particle's subgroup row
         r = self.rng.random((k, 2, self.dim))
-        x = self.positions[:k]
+        x0 = self.positions[:k].copy()
         own = rows[:, 0:1] * self.velocities[:k] \
-            + (rows[:, 1:2] * r[:, 0]) * (self.pbest_pos[:k] - x)
+            + (rows[:, 1:2] * r[:, 0]) * (self.pbest_pos[:k] - x0)
         social = rows[:, 2:3] * r[:, 1]
-        for i in range(k):
-            v = own[i] + social[i] * (self.gbest_pos - self.positions[i])
-            self._record(i, self._fly(i, v))
+        i = 0
+        while i < k:
+            # land particles i..k-1 against the current gbest, then record them
+            # in order; a gbest move invalidates the landings after it
+            best_at_landing = self.gbest_fit
+            self._fly(slice(i, k), x0[i:], own[i:] + social[i:] * (self.gbest_pos - x0[i:]))
+            while i < k:
+                self._record(i)
+                i += 1
+                if self.gbest_fit < best_at_landing:
+                    break
         return self._finish_iteration(start_best)
 
     def clpso_step(self, w: float, c: float, m: int = DEFAULT_REFRESH_GAP) -> bool:
@@ -300,9 +321,11 @@ class Swarm:
         self._require_budget()
         start_best = self.gbest_fit
         for i in range(min(self.n, self.eval_budget - self.eval_count)):
+            x = self.positions[i]
             r = self.rng.random(self.dim)
-            v = w * self.velocities[i] + c * r * (self._exemplar_target(i) - self.positions[i])
-            if not self._record(i, self._fly(i, v)):
+            v = w * self.velocities[i] + c * r * (self._exemplar_target(i) - x)
+            self._fly(i, x, v)
+            if not self._record(i):
                 self.stall[i] += 1
                 if self.stall[i] > m:
                     self.assign_exemplar(i)
@@ -326,10 +349,10 @@ class Swarm:
                 + c3 * r[2 * d:3 * d] * (self.pbest_pos[i] - x)
             if r[3 * d] < c4 * 0.01 * self.stall[i]:
                 x = self.rng.uniform(self.objective.lower, self.objective.upper, d)
-                fit = self._land(i, x, np.zeros(d))
+                self._land(i, x, np.zeros(d))
             else:
-                fit = self._fly(i, v)
-            if not self._record(i, fit):
+                self._fly(i, x, v)
+            if not self._record(i):
                 self.stall[i] += 1
                 if self.stall[i] > m:
                     self.assign_exemplar(i)

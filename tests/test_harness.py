@@ -182,6 +182,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="need at least 5 particles, got 3"):
             parse_config("functions=sphere\nalgorithms=pso\nparticles = 3\n")
 
+    def test_repeated_function_rejected(self):
+        with pytest.raises(ConfigError, match="functions lists 'sphere' more than once"):
+            parse_config("functions=sphere, rastrigin, sphere\nalgorithms=pso\n")
+
+    def test_repeated_algorithm_rejected(self):
+        with pytest.raises(ConfigError, match="algorithms lists 'pso' more than once"):
+            parse_config("functions=sphere\nalgorithms=pso, clpso, pso\n")
+
     def test_missing_required_keys_rejected(self):
         with pytest.raises(ConfigError, match="must set"):
             parse_config("dim=4\n")
@@ -252,8 +260,15 @@ class TestRunExperiment:
                    (Path(cfg_b.out_dir) / name).read_bytes()
 
     def test_self_comparison_is_all_ties(self, tmp_path):
-        cfg = tiny_config(tmp_path, algorithms=["pso", "pso"])
-        _, summary = run_experiment(cfg)
+        # a config may not name an algorithm twice, so the pso runs are
+        # summarized against a copy of themselves under a second name
+        records, _ = run_experiment(tiny_config(tmp_path, algorithms=["pso"]))
+        cfg = tiny_config(tmp_path)
+        finals = {}
+        for rec in records:
+            for alg in cfg.algorithms:
+                finals.setdefault((rec.function, alg), []).append(rec.final_fit)
+        summary = summarize(finals, cfg)
         pooled = [r for r in summary.rows if r.function == "ALL"]
         assert len(pooled) == 1
         assert pooled[0].wins == 0 and pooled[0].losses == 0

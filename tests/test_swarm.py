@@ -10,6 +10,7 @@ import pytest
 from conftest import CountingObjective, ScriptedRng, flat_objective
 from rlapso.benchmarks import make_objective
 from rlapso.swarm import (
+    CONSTANT_COEFFS as CONSTANT,
     BudgetExhaustedError,
     CoefficientSet,
     Schedule,
@@ -502,6 +503,20 @@ class TestSchedules:
     def test_clpso_values(self):
         c = schedule_coeffs("clpso", 25, 100)
         assert (c.w, c.c1) == (schedule_coeffs("linear_dec_w", 25, 100).w, 1.494)
+
+    @pytest.mark.parametrize("variant", ["pso", "clpso", "rlpso"])
+    def test_constant_table_is_shared_and_read_only(self, variant):
+        schedule = Schedule("constant", "none")
+        swarm = Swarm(make_objective("sphere", 3, 1), 10, 100, seed=1, variant=variant)
+        table = schedule(swarm, 0, 8)
+        assert not table.flags.writeable
+        assert schedule(swarm, 8, 8) is table
+        assert np.array_equal(table, np.full((5, 5), CONSTANT))
+        drive(swarm, schedule)  # a step writing into its table would raise
+        pair = Swarm(make_objective("sphere", 3, 1), 10, 100, seed=1, subgroup_count=2)
+        assert schedule(pair, 0, 8).shape == (2, 5)
+        with pytest.raises(ValueError, match="outside"):
+            schedule(swarm, 9, 8)
 
 
 class TestStepTable:
