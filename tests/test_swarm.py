@@ -10,7 +10,7 @@ import pytest
 from conftest import CountingObjective, ScriptedRng, flat_objective
 from rlapso.benchmarks import make_objective
 from rlapso.swarm import (
-    CONSTANT_COEFFS as CONSTANT,
+    CONSTANT_COEFFS,
     BudgetExhaustedError,
     CoefficientSet,
     Schedule,
@@ -511,7 +511,7 @@ class TestSchedules:
         table = schedule(swarm, 0, 8)
         assert not table.flags.writeable
         assert schedule(swarm, 8, 8) is table
-        assert np.array_equal(table, np.full((5, 5), CONSTANT))
+        assert np.array_equal(table, np.full((5, 5), CONSTANT_COEFFS))
         drive(swarm, schedule)  # a step writing into its table would raise
         pair = Swarm(make_objective("sphere", 3, 1), 10, 100, seed=1, subgroup_count=2)
         assert schedule(pair, 0, 8).shape == (2, 5)
