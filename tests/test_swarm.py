@@ -453,7 +453,7 @@ class TestDrawOrderOracle:
         """40 particles on 10-D sphere for 15 iterations: gbest improves
         before the last particle, and twice within one iteration, so every
         later particle of those iterations must steer by the new gbest."""
-        coeffs = [CoefficientSet(0.729, 1.494, 1.494)] * 5
+        coeffs = [CONSTANT_COEFFS] * 5
         swarm = Swarm(make_objective("sphere", 10, 4), 40, 40 * 16, seed=4)
         oracle = _Oracle(swarm)
         for _ in range(15):
