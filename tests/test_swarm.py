@@ -280,8 +280,11 @@ class _Oracle:
     state with a generator cloned from the swarm's.  Counters record which
     branches fired, so a test can show that its case reached them:
     ``early_gbest`` counts gbest improvements before an iteration's last
-    particle, whose later particles must see the new gbest, and
-    ``most_gbest_moves`` is the most gbest improvements in one iteration."""
+    particle, whose later particles must see the new gbest,
+    ``most_gbest_moves`` is the most gbest improvements in one iteration,
+    ``read_improved`` counts pbest improvements that a later particle's
+    exemplar row reads in the same iteration, and ``early_mutations`` counts
+    RLPSO mutations before an iteration's last particle."""
 
     def __init__(self, swarm):
         self.obj = swarm.objective
@@ -301,6 +304,7 @@ class _Oracle:
         self.rng.bit_generator.state = swarm.rng.bit_generator.state
         self.clamped_v = self.clamped_x = self.mutations = self.reassigned = 0
         self.early_gbest = self.most_gbest_moves = 0
+        self.read_improved = self.early_mutations = 0
         self.cut_short = False
 
     def _group(self, i):
@@ -328,6 +332,8 @@ class _Oracle:
         if improved:
             self.pbest_fit[i] = fit
             self.pbest_pos[i] = self.pos[i]
+            if m is not None:
+                self.read_improved += int(np.any(self.exemplar[i + 1:self._last + 1] == i))
         if fit < self.gbest_fit:
             self.gbest_fit = fit
             self.gbest_pos = self.pos[i].copy()
@@ -371,6 +377,7 @@ class _Oracle:
             r4 = self.rng.random()
             if r4 < c.c4 * 0.01 * self.stall[i]:
                 self.mutations += 1
+                self.early_mutations += int(i < self._last)
                 x = self.rng.uniform(self.obj.lower, self.obj.upper, self.dim)
                 fit = self._land(i, x, np.zeros(self.dim))
             else:
@@ -471,6 +478,35 @@ class TestDrawOrderOracle:
         oracle = self._run("rlpso", seed, lambda s: s.rlpso_step(STRESS_COEFFS, m=7),
                            STRESS_COEFFS)
         assert oracle.mutations and oracle.reassigned
+
+
+    @pytest.mark.parametrize("variant, stale_gbest",
+                             [("clpso", False), ("rlpso", False), ("rlpso", True)])
+    def test_exemplar_steps_at_40_particles(self, variant, stale_gbest):
+        """40 particles on 10-D rastrigin for 15 iterations, with stall counts
+        that make reassignment candidates from the first iteration on: pbest
+        improvements that later exemplar rows read, reassignments, and for
+        rlpso mutations before the last particle and early gbest moves."""
+        swarm = Swarm(make_objective("rastrigin", 10, 5), 40, 40 * 16, seed=6,
+                      variant=variant)
+        swarm.stall[:] = np.arange(40) % 9
+        if stale_gbest:
+            worst = int(np.argmax(swarm.pbest_fit))
+            swarm.gbest_fit = float(swarm.pbest_fit[worst])
+            swarm.gbest_pos = swarm.pbest_pos[worst].copy()
+        coeffs = [CoefficientSet(0.729, 1.494, 1.494, 1.0, 1.0)] * 5
+        oracle = _Oracle(swarm)
+        for _ in range(15):
+            if variant == "clpso":
+                expected = oracle.step("clpso", (0.729, 1.494))
+                assert swarm.clpso_step(0.729, 1.494) == expected
+            else:
+                expected = oracle.step("rlpso", coeffs)
+                assert swarm.rlpso_step(coeffs) == expected
+            self._assert_same(swarm, oracle)
+        assert oracle.read_improved >= 1 and oracle.reassigned >= 1
+        if variant == "rlpso":
+            assert oracle.early_mutations >= 1 and oracle.early_gbest >= 1
 
 
 class TestSchedules:
