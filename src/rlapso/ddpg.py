@@ -46,8 +46,9 @@ class RawState:
 
 def observe(swarm: Swarm) -> RawState:
     """Summarize a swarm as (progress, normalized dispersion, stagnation)."""
-    centroid = swarm.positions.mean(axis=0)
-    dispersion = float(np.mean(np.sqrt(np.sum((swarm.positions - centroid) ** 2, axis=1))))
+    n = swarm.n
+    d = swarm.positions - np.add.reduce(swarm.positions) / n
+    dispersion = float(np.add.reduce(np.sqrt(np.sum(d * d, axis=1))) / n)
     diagonal = math.sqrt(swarm.dim) * (swarm.objective.upper - swarm.objective.lower)
     return RawState(
         iteration_frac=swarm.eval_count / swarm.eval_budget,

@@ -162,6 +162,9 @@ class Swarm:
             raise ValueError(f"unknown variant {variant!r}")
         if n < subgroup_count:
             raise ValueError(f"need at least {subgroup_count} particles, got {n}")
+        if variant != "pso" and n < 3:
+            raise ValueError(f"the {variant} exemplar tournament needs at least 3 particles, "
+                             f"got {n}")
         if budget < n:
             raise ValueError(f"budget {budget} cannot cover initialization of {n} particles")
         self.objective = objective
@@ -223,8 +226,8 @@ class Swarm:
         self.stall[i] = 0
         return row
 
-    def _exemplar_target(self, i: int) -> np.ndarray:
-        return self.pbest_pos[self.exemplar[i], self._dims]
+    def _exemplar_target(self, rows: slice) -> np.ndarray:
+        return self.pbest_pos[self.exemplar[rows], self._dims]
 
     # -- shared step plumbing -----------------------------------------------
 
@@ -274,6 +277,42 @@ class Swarm:
             self.last_improve_eval = self.eval_count
         return improved
 
+    def _land_in_order(self, lo: int, hi: int, land, stale) -> None:
+        """Land particles lo..hi-1 as one block with ``land(lo, hi)``, then
+        evaluate and record them in index order.  After particle j's record,
+        ``stale(j, improved, moved)`` (``improved``: j's pbest improved;
+        ``moved``: gbest fell since the last landing) says whether it made the
+        landings of j+1..hi-1 stale; those are landed again with
+        ``land(j + 1, hi)`` before recording goes on."""
+        i = lo
+        while i < hi:
+            best_at_landing = self.gbest_fit
+            land(i, hi)
+            while i < hi:
+                improved = self._record(i)
+                i += 1
+                if stale(i - 1, improved, self.gbest_fit < best_at_landing):
+                    break
+
+    def _refresh(self, j: int, improved: bool, hi: int, m: int) -> bool:
+        """Exemplar bookkeeping after particle j's record: a stalled particle
+        counts the stall and, past the refreshing gap ``m``, draws a new
+        exemplar row; an improved one returns whether particle j+1..hi-1's
+        exemplar row reads its pbest."""
+        if improved:
+            return bool((self.exemplar[j + 1:hi] == j).any())
+        self.stall[j] += 1
+        if self.stall[j] > m:
+            self.assign_exemplar(j)
+        return False
+
+    def _stops(self, k: int, m: int) -> list:
+        """Segment ends for an iteration over k particles: one past each
+        particle that may draw a new exemplar row after its record (its stall
+        count is at least ``m`` now, and only its own record changes it),
+        then k."""
+        return (np.flatnonzero(self.stall[:k - 1] >= m) + 1).tolist() + [k]
+
     # -- step variants ------------------------------------------------------
 
     def _table(self, coeffs) -> np.ndarray:
@@ -309,17 +348,12 @@ class Swarm:
         own = rows[:, 0:1] * self.velocities[:k] \
             + (rows[:, 1:2] * r[:, 0]) * (self.pbest_pos[:k] - x0)
         social = rows[:, 2:3] * r[:, 1]
-        i = 0
-        while i < k:
-            # land particles i..k-1 against the current gbest, then record them
-            # in order; a gbest move invalidates the landings after it
-            best_at_landing = self.gbest_fit
-            self._fly(slice(i, k), x0[i:], own[i:] + social[i:] * (self.gbest_pos - x0[i:]))
-            while i < k:
-                self._record(i)
-                i += 1
-                if self.gbest_fit < best_at_landing:
-                    break
+
+        def land(a, b):
+            x = x0[a:b]
+            self._fly(slice(a, b), x, own[a:b] + social[a:b] * (self.gbest_pos - x))
+
+        self._land_in_order(0, k, land, lambda j, improved, moved: moved)
         return self._finish_iteration(start_best)
 
     def clpso_step(self, w: float, c: float, m: int = DEFAULT_REFRESH_GAP) -> bool:
@@ -328,41 +362,73 @@ class Swarm:
             raise ValueError("refreshing gap must be >= 1")
         self._require_budget()
         start_best = self.gbest_fit
-        for i in range(min(self.n, self.eval_budget - self.eval_count)):
-            r = self.rng.random(self.dim)
-            v = w * self.velocities[i] + c * r * (self._exemplar_target(i) - self.positions[i])
-            self._fly(i, self.positions[i], v)
-            if not self._record(i):
-                self.stall[i] += 1
-                if self.stall[i] > m:
-                    self.assign_exemplar(i)
+        k = min(self.n, self.eval_budget - self.eval_count)
+        x0 = self.positions[:k].copy()
+        wv = w * self.velocities[:k]
+        cr = np.empty((k, self.dim))  # c * r, drawn segment by segment
+
+        def land(a, b):
+            s = slice(a, b)
+            self._fly(s, x0[s], wv[s] + cr[s] * (self._exemplar_target(s) - x0[s]))
+
+        i = 0
+        for end in self._stops(k, m):
+            self.rng.random(out=cr[i:end])
+            cr[i:end] *= c
+            self._land_in_order(i, end, land,
+                                lambda j, improved, moved: self._refresh(j, improved, end, m))
+            i = end
         return self._finish_iteration(start_best)
 
     def rlpso_step(self, coeffs, m: int = DEFAULT_REFRESH_GAP) -> bool:
         """One RLPSO iteration: exemplar + gbest + own-pbest velocity terms,
         then a stall-gated mutation that may reinitialize the position."""
-        rows = self._table(coeffs).tolist()
+        table = self._table(coeffs)
         if m < 1:
             raise ValueError("refreshing gap must be >= 1")
         self._require_budget()
         start_best = self.gbest_fit
         d = self.dim
-        for i in range(min(self.n, self.eval_budget - self.eval_count)):
-            w, c1, c2, c3, c4 = rows[self._group[i]]
-            x = self.positions[i]
-            r = self.rng.random(3 * d + 1)
-            v = w * self.velocities[i] + c1 * r[:d] * (self._exemplar_target(i) - x) \
-                + c2 * r[d:2 * d] * (self.gbest_pos - x) \
-                + c3 * r[2 * d:3 * d] * (self.pbest_pos[i] - x)
-            if r[3 * d] < c4 * 0.01 * self.stall[i]:
-                x = self.rng.uniform(self.objective.lower, self.objective.upper, d)
-                self._land(i, x, np.zeros(d))
-            else:
-                self._fly(i, x, v)
-            if not self._record(i):
-                self.stall[i] += 1
-                if self.stall[i] > m:
-                    self.assign_exemplar(i)
+        k = min(self.n, self.eval_budget - self.eval_count)
+        rows = table[self._group[:k]]
+        x0 = self.positions[:k].copy()
+        wv = rows[:, 0:1] * self.velocities[:k]
+        coeff = np.repeat(rows[:, 1:4], d, axis=1)  # c1 | c2 | c3, one column per draw
+        gate = (rows[:, 4] * 0.01) * self.stall[:k]
+        r = np.empty((k, 3 * d + 1))  # c1*r1 | c2*r2 | c3*r3 | mutation draw
+
+        def land(a, b):
+            s = slice(a, b)
+            x, q = x0[s], r[s]
+            v = ((wv[s] + q[:, :d] * (self._exemplar_target(s) - x))
+                 + q[:, d:2 * d] * (self.gbest_pos - x)) \
+                + q[:, 2 * d:3 * d] * (self.pbest_pos[s] - x)
+            self._fly(s, x, v)
+
+        i = 0
+        for stop in self._stops(k, m):
+            while i < stop:
+                end = stop
+                state = self.rng.bit_generator.state
+                self.rng.random(out=r[i:end])
+                fires = r[i:end, 3 * d] < gate[i:end]
+                f = i + int(fires.argmax())
+                if fires[f - i]:
+                    # f's position draw follows its row: draw no rows past it
+                    end = f + 1
+                    if end < stop:
+                        self.rng.bit_generator.state = state
+                        self.rng.random(out=r[i:end])
+                    mutant = self.rng.uniform(self.objective.lower, self.objective.upper, d)
+                else:
+                    f = end
+                r[i:end, :3 * d] *= coeff[i:end]
+                self._land_in_order(i, f, land, lambda j, improved, moved:
+                                    self._refresh(j, improved, f, m) or moved)
+                if f < end:
+                    self._land(f, mutant, np.zeros(d))
+                    self._refresh(f, self._record(f), end, m)
+                i = end
         return self._finish_iteration(start_best)
 
 

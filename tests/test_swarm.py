@@ -47,6 +47,12 @@ class TestInit:
         with pytest.raises(ValueError, match="at least"):
             Swarm(make_objective("sphere", 4, 1), 3, 100, seed=0)
 
+    @pytest.mark.parametrize("variant", ["clpso", "rlpso"])
+    def test_exemplar_tournament_needs_three_particles(self, variant):
+        with pytest.raises(ValueError, match=f"{variant} exemplar tournament needs at least 3"):
+            Swarm(make_objective("sphere", 4, 1), 2, 100, 1, variant=variant, subgroup_count=1)
+        Swarm(make_objective("sphere", 4, 1), 3, 100, 1, variant=variant, subgroup_count=1)
+
     def test_budget_below_population_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             Swarm(make_objective("sphere", 4, 1), 10, 5, seed=0)
