@@ -31,23 +31,39 @@ sequence of doubles:
 - PSO draws nothing between particles, so one ``rng.random((k, 2, dim))``
   per iteration, where k is the number of particles the budget still
   covers, gives particle i its r1 in ``[i, 0]`` and its r2 in ``[i, 1]``.
-- Particle i's velocity reads only its own position, velocity and pbest,
-  which nothing changes before its turn, and the gbest at its turn; only an
-  evaluation that lowers gbest changes gbest.  So ``pso_step`` lands all k
-  particles as one block against the current gbest (velocity, speed clamp,
-  position, bound clamp), then evaluates and records them in index order.
-  When particle j lowers gbest, particles j+1..k-1 are landed again from
-  the iteration's start positions against the new gbest, and recording
-  goes on from j+1.  Fewer than 2 % of particle updates move gbest in a
-  10-D run, so the redo is rare.
-- RLPSO draws ``rng.random(3 * dim + 1)`` per particle: r1, r2, r3 and the
-  mutation draw, in that order.  RLPSO and CLPSO still step particle by
-  particle, because exemplar reassignment draws follow each evaluation and
-  an earlier particle's pbest improvement moves later exemplar targets.
+- CLPSO and RLPSO draw between particles: a particle whose stall count is
+  at least the refreshing gap m when the iteration starts may draw a new
+  exemplar row right after its evaluation, and only its own record changes
+  its stall count.  So their iterations split into segments that end at
+  such a particle, and each segment draws its rows as one block, CLPSO
+  ``rng.random((end - i, dim))`` and RLPSO ``rng.random((end - i, 3 * dim
+  + 1))`` (r1, r2, r3 and the mutation draw per row).  Reassignment draws
+  then follow the segment's block as they follow the particle's row.
+- RLPSO's mutation gate ``r[3 * dim] < (c4 * 0.01) * stall`` is known once
+  a block is drawn.  When it fires at particle f before the block's last
+  row, the step restores the generator state saved before the block and
+  draws rows i..f only, so that f's ``rng.uniform`` position draw follows
+  its row.  The next segment starts at f + 1.
+
+All three steps then run one loop, ``_land_in_order``: land a block of
+particles at once (velocity, speed clamp, position, bound clamp), evaluate
+and record them in index order, and land the rest of the block again,
+from the iteration's start positions, after a record that made it stale.
+Particle i's velocity reads its own position, velocity and pbest, which
+nothing changes before its turn, and its targets at its turn: the gbest,
+and the pbests its exemplar row names.  Exemplar rows change only at
+reassignment, after the particle's own record.  So a record makes later
+landings stale exactly when it moves one of their targets: a gbest move
+(PSO, RLPSO), or a pbest improvement of particle j that a later particle's
+exemplar row names (CLPSO, RLPSO).  A mutated particle reads no target and
+is landed once.  In 10-D runs fewer than 2 % of updates move gbest and 5
+to 25 % improve a pbest, and a segment lands about 1.1 times on average.
 
 Every update performs the per-particle form's operations with its
-association, e.g. ``(w*v + (c1*r1)*(p - x)) + (c2*r2)*(g - x)``, so results
-are bit-identical to that form, which the tests replay.
+association, ``(w*v + (c1*r1)*(p - x)) + (c2*r2)*(g - x)`` for PSO,
+``w*v + (c*r)*(t - x)`` for CLPSO's exemplar target t and ``((w*v +
+(c1*r1)*(t - x)) + (c2*r2)*(g - x)) + (c3*r3)*(p - x)`` for RLPSO, so
+results are bit-identical to that form, which the tests replay.
 """
 from __future__ import annotations
 
