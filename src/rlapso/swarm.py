@@ -313,8 +313,8 @@ class Swarm:
     def _refresh(self, j: int, improved: bool, hi: int, m: int) -> bool:
         """Exemplar bookkeeping after particle j's record: a stalled particle
         counts the stall and, past the refreshing gap ``m``, draws a new
-        exemplar row; an improved one returns whether particle j+1..hi-1's
-        exemplar row reads its pbest."""
+        exemplar row; an improved one returns whether the exemplar row of
+        any of particles j+1..hi-1 names j."""
         if improved:
             return bool((self.exemplar[j + 1:hi] == j).any())
         self.stall[j] += 1
