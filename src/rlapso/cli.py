@@ -68,9 +68,6 @@ def _build_parser() -> _Parser:
 
 def _cmd_train(args) -> int:
     pool = [s.strip() for s in args.functions.split(",") if s.strip()]
-    for fn in pool:
-        if fn not in FUNCTIONS:
-            raise ValueError(f"unknown function {fn!r} in training pool")
     agent = DdpgAgent(action_width(args.variant), args.seed)
     log = ddpg.train(agent, pool, args.episodes, args.mode, args.variant, args.dim,
                      n_particles=args.particles, budget=args.budget, seed=args.seed,

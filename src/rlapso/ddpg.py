@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import make_objective
+from .benchmarks import FUNCTIONS, make_objective
 from .neural import (AdamState, GradientTape, Mlp, adam_update, load_weights, save_weights,
                      soft_update)
 from .swarm import CONSTANT_COEFFS, DEFAULT_SUBGROUPS, RunRecord, Swarm, drive
@@ -324,11 +324,16 @@ def train(agent: DdpgAgent, pool, episodes: int, mode: str, variant: str, dim: i
 
     Every ``validate_every`` episodes the current actor is scored with greedy
     runs on held-out pool instances, and the best-scoring snapshot is what
-    the agent keeps at the end.  The improvement reward is magnitude-blind,
-    so the final policy of a long run can drift toward micro-improvement
-    churning that never converges well; selecting on validation gbest keeps
-    the policy that actually optimizes.  Pass ``validate_every=0`` to keep
-    the final-episode policy unconditionally.
+    the agent keeps at the end.  The untrained policy and the final policy
+    are candidates too: the first is scored before the first episode, the
+    last after the last episode, also when ``episodes`` is not a multiple of
+    ``validate_every``.  The improvement reward is magnitude-blind, so the
+    final policy of a long run can drift toward micro-improvement churning
+    that never converges well; selecting on validation gbest keeps the
+    policy that actually optimizes.  Pass ``validate_every=0`` to keep the
+    final-episode policy unconditionally.
+
+    Every pool name is checked before the first episode.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -338,6 +343,9 @@ def train(agent: DdpgAgent, pool, episodes: int, mode: str, variant: str, dim: i
     pool = list(pool)
     if not pool:
         raise ValueError("training pool is empty")
+    for fn_id in pool:
+        if fn_id not in FUNCTIONS:
+            raise ValueError(f"unknown function {fn_id!r} in training pool")
     if agent.action_dim != action_width(variant):
         raise ValueError(f"agent emits {agent.action_dim} values but variant {variant!r} "
                          f"needs {action_width(variant)}")
@@ -364,7 +372,7 @@ def train(agent: DdpgAgent, pool, episodes: int, mode: str, variant: str, dim: i
         losses = _training_episode(agent, swarm, mode, variant)
         log.append(EpisodeRecord(ep, fn_id, fn_seed, swarm.gbest_fit,
                                  float(np.mean(losses)) if losses else float("nan")))
-        if validate_every and (ep + 1) % validate_every == 0:
+        if validate_every and ((ep + 1) % validate_every == 0 or ep + 1 == episodes):
             maybe_validate()
         if log_every and (ep + 1) % log_every == 0:
             print(f"episode {ep + 1}/{episodes}: {fn_id} gbest={swarm.gbest_fit:.6g}")
@@ -413,6 +421,21 @@ def save_model(actor: Mlp, path, *, mode: str, variant: str, pool, episodes: int
     with open(sidecar, "w", encoding="utf-8", newline="\n") as f:
         for key, value in meta.items():
             f.write(f"{key}={value}\n")
+
+
+def check_model(policy, meta: dict, mode: str, variant: str, user: str) -> None:
+    """Refuse a model that cannot drive ``variant`` in ``mode``: its actor's
+    output width, then the sidecar keys ``save_model`` writes.  Keys that
+    ``meta`` lacks (an in-memory model) are not checked; ``user`` names what
+    needs the model in the error."""
+    expected = action_width(variant)
+    if policy.action_dim != expected:
+        raise ValueError(f"model emits {policy.action_dim} action values, {user} needs {expected}")
+    for key, wanted in (("mode", mode), ("variant", variant), ("subgroups", DEFAULT_SUBGROUPS),
+                        ("state_width", STATE_WIDTH), ("action_width", expected)):
+        declared = meta.get(key)
+        if declared is not None and str(declared) != str(wanted):
+            raise ValueError(f"model sidecar has {key}={declared}, {user} needs {wanted}")
 
 
 def load_model(path) -> tuple[ActorPolicy, dict]:

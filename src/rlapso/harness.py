@@ -50,17 +50,12 @@ def improvement(origin: float, adapted: float, best: float) -> float:
 
 def _signed_ranks(diffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Average ranks of |diffs|, returned doubled so tied averages stay integral."""
-    order = np.argsort(np.abs(diffs), kind="stable")
-    sorted_abs = np.abs(diffs)[order]
-    doubled = np.empty(len(diffs), dtype=np.int64)
-    i = 0
-    while i < len(diffs):
-        j = i
-        while j + 1 < len(diffs) and sorted_abs[j + 1] == sorted_abs[i]:
-            j += 1
-        doubled[order[i : j + 1]] = (i + 1) + (j + 1)  # 2 * average of ranks i+1..j+1
-        i = j + 1
-    return doubled, np.sign(diffs)
+    magnitudes = np.abs(diffs)
+    ordered = np.sort(magnitudes)
+    # a value tied at sorted positions i..j has ranks i+1..j+1, doubled average i+1+j+1
+    first = np.searchsorted(ordered, magnitudes, side="left")
+    past_last = np.searchsorted(ordered, magnitudes, side="right")
+    return (first + 1 + past_last).astype(np.int64), np.sign(diffs)
 
 
 def wilcoxon_signed_rank(x, y) -> tuple[float, float]:
@@ -134,17 +129,7 @@ def run_single(algorithm: str, function: str, dim: int, fn_seed: int, budget: in
             raise ValueError(f"algorithm {algorithm!r} needs a trained model file")
         mode = controller  # the table names the policy's mode
         policy, meta = model if isinstance(model, tuple) else ddpg.load_model(model)
-        expected = ddpg.action_width(variant)
-        if policy.action_dim != expected:
-            raise ValueError(
-                f"model emits {policy.action_dim} action values, {algorithm} needs {expected}"
-            )
-        # sidecar keys an in-memory model does not carry are not checked
-        for key, wanted in (("mode", mode), ("variant", variant), ("subgroups", DEFAULT_SUBGROUPS),
-                            ("state_width", ddpg.STATE_WIDTH), ("action_width", expected)):
-            declared = meta.get(key)
-            if declared is not None and str(declared) != str(wanted):
-                raise ValueError(f"model sidecar has {key}={declared}, {algorithm} needs {wanted}")
+        ddpg.check_model(policy, meta, mode, variant, algorithm)
         controller = ddpg.PolicyController(policy, mode, variant)
     return drive(Swarm(objective, particles, budget, run_seed, variant=variant), controller)
 
@@ -286,67 +271,54 @@ class ComparisonSummary:
             )
 
 
+def _wilcoxon_p(x, y) -> float:
+    """The paired Wilcoxon p-value, NaN where the test is undefined."""
+    try:
+        return wilcoxon_signed_rank(x, y)[1]
+    except ValueError:
+        return float("nan")
+
+
 def summarize(finals: dict, config: ExperimentConfig) -> ComparisonSummary:
     """Build the summary from per-(function, algorithm) final-fit lists.
 
     The first configured algorithm is the comparison baseline: other
     algorithms get an improvement percentage (of means, toward the known
     optimum), a per-function win/loss against the baseline median, a
-    per-function Wilcoxon p, and one pooled "ALL" row whose Wilcoxon runs
-    over per-(function, seed) pairs normalized per function.
+    per-function Wilcoxon p, and one pooled "ALL" row.  Its wins, losses and
+    mean improvement come from the algorithm's per-function rows, and its
+    Wilcoxon runs over per-(function, seed) pairs normalized per function.
     """
     summary = ComparisonSummary()
     baseline = config.algorithms[0]
-    n_algos = len(config.algorithms)
-    per_fn_improvements: dict = {ai: [] for ai in range(n_algos)}
-    pooled_pairs: dict = {ai: ([], []) for ai in range(n_algos)}
-    win_counts = {ai: [0, 0] for ai in range(n_algos)}
-
     for fn in config.functions:
         base_vals = np.array(finals[(fn, baseline)])
-        for ai, alg in enumerate(config.algorithms):
+        base_mean, base_median = float(np.mean(base_vals)), float(np.median(base_vals))
+        for alg in config.algorithms:
             vals = np.array(finals[(fn, alg)])
-            median = float(np.median(vals))
-            mean = float(np.mean(vals))
-            std = float(np.std(vals))
-            if ai == 0:
-                summary.rows.append(SummaryRow(fn, alg, median, mean, std, 0.0, 0, 0, float("nan")))
-                continue
-            best = FUNCTIONS[fn].bias
-            try:
-                impr = improvement(float(np.mean(base_vals)), mean, best)
-            except ValueError:
-                impr = float("nan")
-            per_fn_improvements[ai].append(impr)
-            base_median = float(np.median(base_vals))
-            win = 1 if median < base_median else 0
-            loss = 1 if median > base_median else 0
-            win_counts[ai][0] += win
-            win_counts[ai][1] += loss
-            norm_base, norm_alg = normalized_pairs(base_vals, vals)
-            pooled_pairs[ai][0].extend(norm_base)
-            pooled_pairs[ai][1].extend(norm_alg)
-            try:
-                _, p = wilcoxon_signed_rank(norm_base, norm_alg)
-            except ValueError:
-                p = float("nan")
-            summary.rows.append(SummaryRow(fn, alg, median, mean, std, impr, win, loss, p))
+            row = SummaryRow(fn, alg, float(np.median(vals)), float(np.mean(vals)),
+                             float(np.std(vals)), 0.0, 0, 0, float("nan"))
+            if alg != baseline:
+                try:
+                    row.improvement_pct = improvement(base_mean, row.mean, FUNCTIONS[fn].bias)
+                except ValueError:
+                    row.improvement_pct = float("nan")
+                row.wins = int(row.median < base_median)
+                row.losses = int(row.median > base_median)
+                row.p_value = _wilcoxon_p(*normalized_pairs(base_vals, vals))
+            summary.rows.append(row)
 
-    for ai, alg in enumerate(config.algorithms):
-        if ai == 0:
-            continue
+    for alg in config.algorithms[1:]:
+        per_fn = [r for r in summary.rows if r.algorithm == alg]
+        imprs = [r.improvement_pct for r in per_fn if not math.isnan(r.improvement_pct)]
         all_vals = np.concatenate([finals[(fn, alg)] for fn in config.functions])
-        imprs = [v for v in per_fn_improvements[ai] if not math.isnan(v)]
-        mean_impr = float(np.mean(imprs)) if imprs else float("nan")
-        try:
-            _, pooled_p = wilcoxon_signed_rank(*map(np.asarray, pooled_pairs[ai]))
-        except ValueError:
-            pooled_p = float("nan")
-        summary.rows.append(
-            SummaryRow("ALL", alg, float(np.median(all_vals)), float(np.mean(all_vals)),
-                       float(np.std(all_vals)), mean_impr,
-                       win_counts[ai][0], win_counts[ai][1], pooled_p)
-        )
+        pairs = [normalized_pairs(finals[(fn, baseline)], finals[(fn, alg)])
+                 for fn in config.functions]
+        summary.rows.append(SummaryRow(
+            "ALL", alg, float(np.median(all_vals)), float(np.mean(all_vals)),
+            float(np.std(all_vals)), float(np.mean(imprs)) if imprs else float("nan"),
+            sum(r.wins for r in per_fn), sum(r.losses for r in per_fn),
+            _wilcoxon_p(*(np.concatenate(side) for side in zip(*pairs)))))
     return summary
 
 
@@ -359,14 +331,18 @@ def run_experiment(config: ExperimentConfig, quiet: bool = True):
 
     Per-run swarm seeds are ``seed + run_index`` (identical across
     algorithms, so comparisons are seed-paired); per-function instance seeds
-    are ``seed + 1000 * (function_index + 1)``.
+    are ``seed + 1000 * (function_index + 1)``.  The model, if any, is loaded
+    and checked against every model-driven algorithm before ``out_dir`` is
+    created or any run starts.
     """
     config.validate()
+    model_algorithms = [a for a in config.algorithms if _needs_model(a)]
+    model = ddpg.load_model(config.model) if model_algorithms else None
+    for alg in model_algorithms:
+        variant, mode = _ALGORITHM_TABLE[alg]
+        ddpg.check_model(*model, mode, variant, alg)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model = None
-    if any(_needs_model(a) for a in config.algorithms):
-        model = ddpg.load_model(config.model)
     records = []
     finals: dict = {}
     for fi, fn in enumerate(config.functions):

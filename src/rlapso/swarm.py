@@ -10,10 +10,12 @@ budget.  Per iteration it calls ``controller(swarm, t, t_max)`` once, steps,
 appends (eval_count, gbest) to the curve, then calls ``on_step(swarm,
 prev_best)`` if given.  The controller returns a float64 coefficient table
 of shape ``(subgroup_count, 5)``, one row per subgroup with columns ``w, c1,
-c2, c3, c4`` (RLPSO alone reads c3 and c4; CLPSO takes w and c1 from row 0),
-never draws from ``swarm.rng``, and its ``adapter`` attribute tags the run's
-record; 0 <= t <= t_max = max(1, budget // n - 1).  ``Schedule`` runs the
-offline schedules, ``ddpg.PolicyController`` a trained policy.
+c2, c3, c4``, never draws from ``swarm.rng``, and its ``adapter`` attribute
+tags the run's record; 0 <= t <= t_max = max(1, budget // n - 1).
+``Schedule`` runs the offline schedules, ``ddpg.PolicyController`` a
+trained policy.  The table is all that ``pso_step``, ``clpso_step`` and
+``rlpso_step`` take: RLPSO alone reads c3 and c4, and CLPSO reads w and c1
+from row 0 of the table it is given.
 
 Determinism contract: all randomness flows through ``self.rng`` and is drawn
 in a fixed documented order, so a test oracle holding an identically seeded
@@ -32,13 +34,14 @@ sequence of doubles:
   per iteration, where k is the number of particles the budget still
   covers, gives particle i its r1 in ``[i, 0]`` and its r2 in ``[i, 1]``.
 - CLPSO and RLPSO draw between particles: a particle whose stall count is
-  at least the refreshing gap m when the iteration starts may draw a new
-  exemplar row right after its evaluation, and only its own record changes
-  its stall count.  So their iterations split into segments that end at
-  such a particle, and each segment draws its rows as one block, CLPSO
-  ``rng.random((end - i, dim))`` and RLPSO ``rng.random((end - i, 3 * dim
-  + 1))`` (r1, r2, r3 and the mutation draw per row).  Reassignment draws
-  then follow the segment's block as they follow the particle's row.
+  at least the refreshing gap (``REFRESH_GAP``, CLPSO's m = 7) when the
+  iteration starts may draw a new exemplar row right after its evaluation,
+  and only its own record changes its stall count.  So their iterations
+  split into segments that end at such a particle, and each segment draws
+  its rows as one block, CLPSO ``rng.random((end - i, dim))`` and RLPSO
+  ``rng.random((end - i, 3 * dim + 1))`` (r1, r2, r3 and the mutation draw
+  per row).  Reassignment draws then follow the segment's block as they
+  follow the particle's row.
 - RLPSO's mutation gate ``r[3 * dim] < (c4 * 0.01) * stall`` is known once
   a block is drawn.  When it fires at particle f before the block's last
   row, the step restores the generator state saved before the block and
@@ -76,7 +79,7 @@ from .benchmarks import Objective
 
 V_MAX_FRACTION = 0.2
 DEFAULT_SUBGROUPS = 5
-DEFAULT_REFRESH_GAP = 7
+REFRESH_GAP = 7  # CLPSO's refreshing gap m
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -247,22 +250,28 @@ class Swarm:
 
     # -- shared step plumbing -----------------------------------------------
 
-    def _require_budget(self):
+    def _begin(self, coeffs) -> tuple[np.ndarray, int, np.ndarray]:
+        """Check an iteration's start: ``coeffs`` as a float64 table of one
+        row per subgroup, then the budget.  Returns the table, the number k
+        of particles the budget still covers and a copy of their positions."""
+        table = np.asarray(coeffs, dtype=float)
+        if table.shape != (self.subgroup_count, 5):
+            raise ValueError(f"expected {self.subgroup_count} coefficient sets as a "
+                             f"({self.subgroup_count}, 5) table, got shape {table.shape}")
         if self.eval_count >= self.eval_budget:
             raise BudgetExhaustedError(
                 f"evaluation budget {self.eval_budget} exhausted (eval_count={self.eval_count})"
             )
+        k = min(self.n, self.eval_budget - self.eval_count)
+        return table, k, self.positions[:k].copy()
 
     def _fly(self, rows, x: np.ndarray, v: np.ndarray) -> None:
         """Clamp velocities ``v`` to the speed limit in place, then land the
-        particles ``rows`` (an index or a slice) at positions ``x + v``."""
+        particles ``rows`` (an index or a slice) at positions ``x + v``,
+        clamped to bounds with the clamped velocity components zeroed."""
         np.maximum(v, -self.v_max, out=v)
         np.minimum(v, self.v_max, out=v)
-        self._land(rows, x + v, v)
-
-    def _land(self, rows, x: np.ndarray, v: np.ndarray) -> None:
-        """Clamp ``x`` to bounds (zeroing clamped velocity components) and
-        store it as the particles ``rows``."""
+        x = x + v
         lower, upper = self.objective.lower, self.objective.upper
         out = (x < lower) | (x > upper)
         if out.any():
@@ -310,42 +319,33 @@ class Swarm:
                 if stale(i - 1, improved, self.gbest_fit < best_at_landing):
                     break
 
-    def _refresh(self, j: int, improved: bool, hi: int, m: int) -> bool:
+    def _refresh(self, j: int, improved: bool, hi: int) -> bool:
         """Exemplar bookkeeping after particle j's record: a stalled particle
-        counts the stall and, past the refreshing gap ``m``, draws a new
-        exemplar row; an improved one returns whether the exemplar row of
-        any of particles j+1..hi-1 names j."""
+        counts the stall and, past the refreshing gap, draws a new exemplar
+        row; an improved one returns whether the exemplar row of any of
+        particles j+1..hi-1 names j."""
         if improved:
             return bool((self.exemplar[j + 1:hi] == j).any())
         self.stall[j] += 1
-        if self.stall[j] > m:
+        if self.stall[j] > REFRESH_GAP:
             self.assign_exemplar(j)
         return False
 
-    def _stops(self, k: int, m: int) -> list:
+    def _stops(self, k: int) -> list:
         """Segment ends for an iteration over k particles: one past each
         particle that may draw a new exemplar row after its record (its stall
-        count is at least ``m`` now, and only its own record changes it),
-        then k."""
-        return (np.flatnonzero(self.stall[:k - 1] >= m) + 1).tolist() + [k]
+        count is at least the refreshing gap now, and only its own record
+        changes it), then k."""
+        return (np.flatnonzero(self.stall[:k - 1] >= REFRESH_GAP) + 1).tolist() + [k]
 
     # -- step variants ------------------------------------------------------
-
-    def _table(self, coeffs) -> np.ndarray:
-        """``coeffs`` as a float64 coefficient table, one row per subgroup."""
-        table = np.asarray(coeffs, dtype=float)
-        if table.shape != (self.subgroup_count, 5):
-            raise ValueError(f"expected {self.subgroup_count} coefficient sets as a "
-                             f"({self.subgroup_count}, 5) table, got shape {table.shape}")
-        return table
 
     def step(self, coeffs) -> bool:
         """One iteration of this swarm's variant; returns whether gbest improved."""
         if self.variant == "pso":
             return self.pso_step(coeffs)
         if self.variant == "clpso":
-            w, c1 = self._table(coeffs)[0, :2].tolist()
-            return self.clpso_step(w, c1)
+            return self.clpso_step(coeffs)
         return self.rlpso_step(coeffs)
 
     def pso_step(self, coeffs) -> bool:
@@ -354,13 +354,10 @@ class Swarm:
         Evaluation stops mid-iteration if the budget runs out (remaining
         particles are left untouched).
         """
-        table = self._table(coeffs)
-        self._require_budget()
+        table, k, x0 = self._begin(coeffs)
         start_best = self.gbest_fit
-        k = min(self.n, self.eval_budget - self.eval_count)
         rows = table[self._group[:k]]  # each particle's subgroup row
         r = self.rng.random((k, 2, self.dim))
-        x0 = self.positions[:k].copy()
         own = rows[:, 0:1] * self.velocities[:k] \
             + (rows[:, 1:2] * r[:, 0]) * (self.pbest_pos[:k] - x0)
         social = rows[:, 2:3] * r[:, 1]
@@ -372,14 +369,12 @@ class Swarm:
         self._land_in_order(0, k, land, lambda j, improved, moved: moved)
         return self._finish_iteration(start_best)
 
-    def clpso_step(self, w: float, c: float, m: int = DEFAULT_REFRESH_GAP) -> bool:
-        """One comprehensive-learning iteration with refreshing gap ``m``."""
-        if m < 1:
-            raise ValueError("refreshing gap must be >= 1")
-        self._require_budget()
+    def clpso_step(self, coeffs) -> bool:
+        """One comprehensive-learning iteration with the inertia w and the
+        learning coefficient c1 of the table's row 0."""
+        table, k, x0 = self._begin(coeffs)
         start_best = self.gbest_fit
-        k = min(self.n, self.eval_budget - self.eval_count)
-        x0 = self.positions[:k].copy()
+        w, c = table[0, :2].tolist()
         wv = w * self.velocities[:k]
         cr = np.empty((k, self.dim))  # c * r, drawn segment by segment
 
@@ -388,26 +383,21 @@ class Swarm:
             self._fly(s, x0[s], wv[s] + cr[s] * (self._exemplar_target(s) - x0[s]))
 
         i = 0
-        for end in self._stops(k, m):
+        for end in self._stops(k):
             self.rng.random(out=cr[i:end])
             cr[i:end] *= c
             self._land_in_order(i, end, land,
-                                lambda j, improved, moved: self._refresh(j, improved, end, m))
+                                lambda j, improved, moved: self._refresh(j, improved, end))
             i = end
         return self._finish_iteration(start_best)
 
-    def rlpso_step(self, coeffs, m: int = DEFAULT_REFRESH_GAP) -> bool:
+    def rlpso_step(self, coeffs) -> bool:
         """One RLPSO iteration: exemplar + gbest + own-pbest velocity terms,
         then a stall-gated mutation that may reinitialize the position."""
-        table = self._table(coeffs)
-        if m < 1:
-            raise ValueError("refreshing gap must be >= 1")
-        self._require_budget()
+        table, k, x0 = self._begin(coeffs)
         start_best = self.gbest_fit
         d = self.dim
-        k = min(self.n, self.eval_budget - self.eval_count)
         rows = table[self._group[:k]]
-        x0 = self.positions[:k].copy()
         wv = rows[:, 0:1] * self.velocities[:k]
         coeff = np.repeat(rows[:, 1:4], d, axis=1)  # c1 | c2 | c3, one column per draw
         gate = (rows[:, 4] * 0.01) * self.stall[:k]
@@ -422,7 +412,7 @@ class Swarm:
             self._fly(s, x, v)
 
         i = 0
-        for stop in self._stops(k, m):
+        for stop in self._stops(k):
             while i < stop:
                 end = stop
                 state = self.rng.bit_generator.state
@@ -440,10 +430,11 @@ class Swarm:
                     f = end
                 r[i:end, :3 * d] *= coeff[i:end]
                 self._land_in_order(i, f, land, lambda j, improved, moved:
-                                    self._refresh(j, improved, f, m) or moved)
+                                    self._refresh(j, improved, f) or moved)
                 if f < end:
-                    self._land(f, mutant, np.zeros(d))
-                    self._refresh(f, self._record(f), end, m)
+                    # a zero velocity lands the in-box mutant exactly where drawn
+                    self._fly(f, mutant, np.zeros(d))
+                    self._refresh(f, self._record(f), end)
                 i = end
         return self._finish_iteration(start_best)
 

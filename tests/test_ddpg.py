@@ -459,6 +459,33 @@ class TestTrainingLoop:
         with pytest.raises(ValueError, match="emits"):
             train(agent, ["sphere"], 1, "absolute", "rlpso", 2)
 
+    def test_unknown_pool_name_rejected_before_any_episode(self):
+        agent = DdpgAgent(20, seed=13, warmup=10_000)
+        with pytest.raises(ValueError, match="unknown function 'nope' in training pool"):
+            train(agent, ["sphere"] * 20 + ["nope"], 6, "absolute", "pso", 2,
+                  n_particles=10, budget=40, seed=0, validate_every=0)
+        assert len(agent.buffer) == 0
+
+    @pytest.mark.parametrize("episodes, every, validations",
+                             [(3, 2, 3), (3, 25, 2), (4, 2, 3)])
+    def test_final_policy_is_validated(self, monkeypatch, episodes, every, validations):
+        """Validation runs before the first episode, after every ``every``
+        episodes and after the last, once each."""
+        import rlapso.ddpg
+
+        calls = []
+        score = rlapso.ddpg._validation_score
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return score(*args, **kwargs)
+
+        monkeypatch.setattr(rlapso.ddpg, "_validation_score", counted)
+        agent = DdpgAgent(20, seed=16, warmup=10_000)
+        train(agent, ["sphere"], episodes, "absolute", "pso", 2,
+              n_particles=10, budget=40, seed=0, validate_every=every)
+        assert len(calls) == validations
+
     def test_training_actually_updates_networks(self):
         agent = DdpgAgent(20, seed=14, warmup=20, batch_size=8)
         before = agent.actor.weights[0].copy()

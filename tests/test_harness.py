@@ -364,6 +364,18 @@ class TestModelContract:
             run_single("rlam-relative", "sphere", 2, 1, 100, 1, particles=8,
                        model=self._model(mode="relative", action_width="25"))
 
+    def test_experiment_checks_its_model_before_any_run(self, tmp_path):
+        from rlapso.ddpg import DdpgAgent, action_width, save_model
+
+        path = tmp_path / "absolute.bin"
+        save_model(DdpgAgent(action_width("pso"), seed=5).actor, path, mode="absolute",
+                   variant="pso", pool=["sphere"], episodes=1, seed=5)
+        cfg = tiny_config(tmp_path, algorithms=["pso", "rlam-absolute", "rlam-relative"],
+                          model=str(path))
+        with pytest.raises(ValueError, match="mode=absolute, rlam-relative needs relative"):
+            run_experiment(cfg)
+        assert not Path(cfg.out_dir).exists()
+
 
 class TestControllerContract:
     """Every algorithm's controller returns a (5, 5) coefficient table and

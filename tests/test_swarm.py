@@ -175,7 +175,7 @@ class TestClpsoStep:
         swarm.positions[:] = np.clip(swarm.positions, -90.0, 90.0)
         swarm.pbest_pos[:] = swarm.positions
         swarm.velocities[:] = 0.5
-        swarm.clpso_step(0.5, 2.0, m=7)
+        swarm.clpso_step(const_coeffs(0.5, 2.0, 0.0))
         assert np.array_equal(swarm.velocities, np.full((5, 2), 0.25))
 
     def test_zero_learning_coefficient_is_pure_inertia(self):
@@ -183,13 +183,14 @@ class TestClpsoStep:
                       variant="clpso")
         swarm.positions[:] = np.clip(swarm.positions, -90.0, 90.0)
         swarm.velocities[:] = -0.5
-        swarm.clpso_step(0.7, 0.0, m=7)
+        swarm.clpso_step(const_coeffs(0.7, 0.0, 0.0))
         assert np.array_equal(swarm.velocities, np.full((5, 3), 0.7 * -0.5))
 
     def test_matches_hand_simulated_oracle(self):
-        """3 particles, 2-D centered sphere, refreshing gap 2, 2 iterations."""
+        """3 particles, 2-D centered sphere, 2 iterations.  No stall count
+        passes 2, so no reassignment happens with any refreshing gap >= 2."""
         obj = flat_objective(2)
-        seed, w, c, m = 321, 0.6, 1.5, 2
+        seed, w, c, m = 321, 0.6, 1.5, 7
         n, dim = 3, 2
         swarm = Swarm(obj, n, 1000, seed=seed, subgroup_count=1, variant="clpso")
 
@@ -233,7 +234,7 @@ class TestClpsoStep:
                     if stall[i] > m:
                         exemplar[i] = _oracle_assign(rng, n, dim, i, pbest_fit)
                         stall[i] = 0
-            swarm.clpso_step(w, c, m)
+            swarm.clpso_step(const_coeffs(w, c, 0.0))
             assert np.array_equal(swarm.positions, pos)
             assert np.array_equal(swarm.velocities, vel)
             assert np.array_equal(swarm.exemplar, exemplar)
@@ -252,20 +253,20 @@ class TestRlpsoStep:
     def test_zero_gate_never_mutates(self):
         swarm = self._frozen_swarm(stall_value=100)
         before = swarm.positions.copy()
-        swarm.rlpso_step(const_coeffs(0.0, 0.0, 0.0, c3=0.0, c4=0.0), m=1000)
+        swarm.rlpso_step(const_coeffs(0.0, 0.0, 0.0, c3=0.0, c4=0.0))
         assert np.array_equal(swarm.positions, before)
 
     def test_zero_stall_never_mutates(self):
         swarm = self._frozen_swarm(stall_value=0)
         before = swarm.positions.copy()
-        swarm.rlpso_step(const_coeffs(0.0, 0.0, 0.0, c3=0.0, c4=1.0), m=1000)
+        swarm.rlpso_step(const_coeffs(0.0, 0.0, 0.0, c3=0.0, c4=1.0))
         assert np.array_equal(swarm.positions, before)
 
     def test_saturated_gate_always_mutates(self):
         # threshold = 1.0 * 0.01 * 100 = 1.0 > any uniform draw
         swarm = self._frozen_swarm(stall_value=100)
         before = swarm.positions.copy()
-        swarm.rlpso_step(const_coeffs(0.0, 0.0, 0.0, c3=0.0, c4=1.0), m=1000)
+        swarm.rlpso_step(const_coeffs(0.0, 0.0, 0.0, c3=0.0, c4=1.0))
         assert np.all(np.any(swarm.positions != before, axis=1))
         assert np.array_equal(swarm.velocities, np.zeros_like(swarm.velocities))
 
@@ -277,7 +278,7 @@ class TestRlpsoStep:
         # collapse every attractor onto the same point: velocity must stay zero
         swarm.positions[:] = swarm.gbest_pos
         swarm.pbest_pos[:] = swarm.gbest_pos
-        swarm.rlpso_step(const_coeffs(0.9, 1.0, 1.0, c3=1.0, c4=0.0), m=1000)
+        swarm.rlpso_step(const_coeffs(0.9, 1.0, 1.0, c3=1.0, c4=0.0))
         assert np.array_equal(swarm.velocities, np.zeros_like(swarm.velocities))
 
 
@@ -476,12 +477,14 @@ class TestDrawOrderOracle:
 
     @pytest.mark.parametrize("seed", [33, 34])
     def test_clpso(self, seed):
-        oracle = self._run("clpso", seed, lambda s: s.clpso_step(1.6, 2.9, m=7), (1.6, 2.9))
+        oracle = self._run("clpso", seed,
+                           lambda s: s.clpso_step(const_coeffs(1.6, 2.9, 0.0, groups=5)),
+                           (1.6, 2.9))
         assert oracle.reassigned
 
     @pytest.mark.parametrize("seed", [35, 36])
     def test_rlpso(self, seed):
-        oracle = self._run("rlpso", seed, lambda s: s.rlpso_step(STRESS_COEFFS, m=7),
+        oracle = self._run("rlpso", seed, lambda s: s.rlpso_step(STRESS_COEFFS),
                            STRESS_COEFFS)
         assert oracle.mutations and oracle.reassigned
 
@@ -505,7 +508,7 @@ class TestDrawOrderOracle:
         for _ in range(15):
             if variant == "clpso":
                 expected = oracle.step("clpso", (0.729, 1.494))
-                assert swarm.clpso_step(0.729, 1.494) == expected
+                assert swarm.clpso_step(const_coeffs(0.729, 1.494, 0.0, groups=5)) == expected
             else:
                 expected = oracle.step("rlpso", coeffs)
                 assert swarm.rlpso_step(coeffs) == expected
@@ -587,7 +590,7 @@ class TestDrive:
         for t in range(4):
             c = schedule_coeffs("tvac", t, 3)
             if variant == "clpso":
-                mirror.clpso_step(c.w, c.c1)
+                mirror.clpso_step([c] * 5)
             elif variant == "pso":
                 mirror.pso_step([c] * 5)
             else:
@@ -663,11 +666,11 @@ class TestSwarmInvariants:
             if variant == "pso":
                 swarm.pso_step(const_coeffs(w, c1, c2, groups=5))
             elif variant == "clpso":
-                swarm.clpso_step(w, c1, m=7)
+                swarm.clpso_step(const_coeffs(w, c1, c2, groups=5))
             else:
                 swarm.rlpso_step(
                     const_coeffs(w, c1, c2, c3=rng.uniform(0, 2), c4=rng.uniform(0, 1),
-                                 groups=5), m=7)
+                                 groups=5))
             assert swarm.gbest_fit <= best
             best = swarm.gbest_fit
             assert np.all(swarm.positions >= obj.lower)
