@@ -8,7 +8,7 @@ normal approximation with continuity correction above).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +166,8 @@ class ExperimentConfig:
                     raise ConfigError(f"{key} lists {name!r} more than once")
         if any(_needs_model(a) for a in self.algorithms) and not self.model:
             raise ConfigError("config uses a model-driven algorithm but sets no model path")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.runs < 1 or self.budget < self.particles or self.dim < 2:
             raise ConfigError("runs, budget, and dim must be sensible positive values")
         if self.particles < DEFAULT_SUBGROUPS:
@@ -173,17 +175,13 @@ class ExperimentConfig:
         return self
 
 
-_CONFIG_KEYS = {
-    "functions": lambda v: [s.strip() for s in v.split(",") if s.strip()],
-    "algorithms": lambda v: [s.strip() for s in v.split(",") if s.strip()],
-    "dim": int,
-    "runs": int,
-    "budget": int,
-    "seed": int,
-    "particles": int,
-    "out_dir": str,
-    "model": str,
+# one value parser per field type (annotations are strings in this module)
+_PARSERS = {
+    "list": lambda v: [s.strip() for s in v.split(",") if s.strip()],
+    "int": int,
+    "str": str,
 }
+_CONFIG_KEYS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:

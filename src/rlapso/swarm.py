@@ -17,50 +17,37 @@ trained policy.  The table is all that ``pso_step``, ``clpso_step`` and
 ``rlpso_step`` take: RLPSO alone reads c3 and c4, and CLPSO reads w and c1
 from row 0 of the table it is given.
 
-Determinism contract: all randomness flows through ``self.rng`` and is drawn
-in a fixed documented order, so a test oracle holding an identically seeded
-generator can replay a run bit-exactly.  Draw order per step, per particle in
-index order: the uniform r-vectors for the velocity terms (r1[, r2[, r3]],
-each ``rng.random(dim)``), then for RLPSO one scalar mutation draw and, when
-it fires, one ``rng.uniform`` position redraw; exemplar reassignment draws
-follow evaluation.  Initialization draws positions then velocities as single
-``(n, dim)`` uniform blocks, then assigns exemplars particle by particle.
+Determinism contract: all randomness flows through two generators per
+swarm, each drawn in a fixed documented order, so a test oracle holding
+identically seeded generators can replay a run bit-exactly.  ``self.rng =
+default_rng(seed)`` draws the positions and velocities at initialization,
+as single ``(n, dim)`` uniform blocks, and then each iteration's velocity
+terms as one block, where k is the number of particles the budget still
+covers: PSO ``rng.random((k, 2, dim))`` (particle i's r1 in ``[i, 0]``, its
+r2 in ``[i, 1]``), CLPSO ``rng.random((k, dim))`` and RLPSO ``rng.random((k,
+3 * dim + 1))`` (r1, r2, r3 and the mutation draw per row), followed by
+``rng.uniform(lower, upper, (f, dim))`` for the f particles whose mutation
+gate ``r[3 * dim] < (c4 * 0.01) * stall`` fires, in index order.
+``self.exemplar_rng = default_rng(SeedSequence(seed, spawn_key=(0,)))``
+draws every exemplar row, one ``random((3, dim))`` block each (see
+``assign_exemplar``): at initialization particle by particle, then whenever
+a particle's stall count passes the refreshing gap (``REFRESH_GAP``,
+CLPSO's m = 7) after its record.  PSO never draws from it.  The stall count
+a gate reads changes only at the particle's own record, so every gate is
+known once the block is drawn.
 
-The steps take these numbers in fewer, larger draws that yield the same
-stream, because ``rng.random`` fills its output in C order from one
-sequence of doubles:
-
-- PSO draws nothing between particles, so one ``rng.random((k, 2, dim))``
-  per iteration, where k is the number of particles the budget still
-  covers, gives particle i its r1 in ``[i, 0]`` and its r2 in ``[i, 1]``.
-- CLPSO and RLPSO draw between particles: a particle whose stall count is
-  at least the refreshing gap (``REFRESH_GAP``, CLPSO's m = 7) when the
-  iteration starts may draw a new exemplar row right after its evaluation,
-  and only its own record changes its stall count.  So their iterations
-  split into segments that end at such a particle, and each segment draws
-  its rows as one block, CLPSO ``rng.random((end - i, dim))`` and RLPSO
-  ``rng.random((end - i, 3 * dim + 1))`` (r1, r2, r3 and the mutation draw
-  per row).  Reassignment draws then follow the segment's block as they
-  follow the particle's row.
-- RLPSO's mutation gate ``r[3 * dim] < (c4 * 0.01) * stall`` is known once
-  a block is drawn.  When it fires at particle f before the block's last
-  row, the step restores the generator state saved before the block and
-  draws rows i..f only, so that f's ``rng.uniform`` position draw follows
-  its row.  The next segment starts at f + 1.
-
-All three steps then run one loop, ``_land_in_order``: land a block of
-particles at once (velocity, speed clamp, position, bound clamp), evaluate
-and record them in index order, and land the rest of the block again,
-from the iteration's start positions, after a record that made it stale.
-Particle i's velocity reads its own position, velocity and pbest, which
-nothing changes before its turn, and its targets at its turn: the gbest,
-and the pbests its exemplar row names.  Exemplar rows change only at
-reassignment, after the particle's own record.  So a record makes later
-landings stale exactly when it moves one of their targets: a gbest move
-(PSO, RLPSO), or a pbest improvement of particle j that a later particle's
-exemplar row names (CLPSO, RLPSO).  A mutated particle reads no target and
-is landed once.  In 10-D runs fewer than 2 % of updates move gbest and 5
-to 25 % improve a pbest, and a segment lands about 1.1 times on average.
+All three steps then run one loop, ``_land_in_order``: land the k particles
+at once (velocity, speed clamp, position, bound clamp), evaluate and record
+them in index order, and after a record land again, from the iteration's
+start positions, exactly the later particles it made stale.  Particle i's
+velocity reads its own position, velocity and pbest, which nothing changes
+before its turn, and its targets at its turn: the gbest, and the pbests its
+exemplar row names.  Exemplar rows change only at reassignment, after the
+particle's own record.  So particle j's record makes a later landing stale
+exactly when it moves one of its targets: a gbest move (PSO, RLPSO) makes
+all of j+1..k-1 stale, and a pbest improvement (CLPSO, RLPSO) the later
+particles whose exemplar row names j.  A mutated particle reads no target:
+it lands at its mutant with a zero velocity whenever it is landed.
 
 Every update performs the per-particle form's operations with its
 association, ``(w*v + (c1*r1)*(p - x)) + (c2*r2)*(g - x)`` for PSO,
@@ -194,6 +181,7 @@ class Swarm:
         self.seed = seed
         self.subgroup_count = subgroup_count
         self.rng = np.random.default_rng(seed)
+        self.exemplar_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         self.v_max = V_MAX_FRACTION * (objective.upper - objective.lower)
         # contiguous subgroups of n // subgroup_count, the remainder joining the last
         self._group = np.minimum(np.arange(n) // (n // subgroup_count), subgroup_count - 1)
@@ -217,35 +205,31 @@ class Swarm:
 
     # -- exemplar machinery -------------------------------------------------
 
-    def _tournament_winner(self, i: int) -> int:
-        # two distinct random particles != i; better pbest wins
-        a = int(self.rng.integers(self.n - 1))
-        j1 = a + (a >= i)
-        b = int(self.rng.integers(self.n - 2))
-        lo, hi = (i, j1) if i < j1 else (j1, i)
-        j2 = b + (b >= lo)
-        j2 = j2 + (j2 >= hi)
-        return j1 if self.pbest_fit[j1] < self.pbest_fit[j2] else j2
-
     def assign_exemplar(self, i: int) -> np.ndarray:
-        """Redraw particle i's per-dimension exemplar row and reset its stall count."""
-        pc = learning_probability(i, self.n)
-        row = np.empty(self.dim, dtype=int)
-        for d in range(self.dim):
-            if self.rng.random() >= pc:
-                row[d] = i
-            else:
-                row[d] = self._tournament_winner(i)
-        if np.all(row == i):
-            # force at least one foreign dimension
-            d0 = int(self.rng.integers(self.dim))
-            a = int(self.rng.integers(self.n - 1))
-            row[d0] = a + (a >= i)
+        """Redraw particle i's per-dimension exemplar row and reset its stall count.
+
+        One ``exemplar_rng.random((3, dim))`` block ``u``: dimension d learns
+        when ``u[0, d] < Pc(i)`` (if none does, the one with the smallest
+        draw does), and a learning dimension takes the better pbest of two
+        rivals, ``floor(u[1, d] * (n - 1))`` counting past i and ``floor(u[2, d]
+        * (n - 2))`` counting past i and the first."""
+        u = self.exemplar_rng.random((3, self.dim))
+        learn = u[0] < learning_probability(i, self.n)
+        if not learn.any():
+            learn[u[0].argmin()] = True
+        j1 = (u[1] * (self.n - 1)).astype(int)
+        j1 += j1 >= i
+        j2 = (u[2] * (self.n - 2)).astype(int)
+        lo, hi = np.minimum(j1, i), np.maximum(j1, i)
+        j2 += j2 >= lo
+        j2 += j2 >= hi
+        fit = self.pbest_fit
+        row = np.where(learn, np.where(fit[j1] < fit[j2], j1, j2), i)
         self.exemplar[i] = row
         self.stall[i] = 0
         return row
 
-    def _exemplar_target(self, rows: slice) -> np.ndarray:
+    def _exemplar_target(self, rows) -> np.ndarray:
         return self.pbest_pos[self.exemplar[rows], self._dims]
 
     # -- shared step plumbing -----------------------------------------------
@@ -267,7 +251,7 @@ class Swarm:
 
     def _fly(self, rows, x: np.ndarray, v: np.ndarray) -> None:
         """Clamp velocities ``v`` to the speed limit in place, then land the
-        particles ``rows`` (an index or a slice) at positions ``x + v``,
+        particles ``rows`` (an index, a slice or an index array) at ``x + v``,
         clamped to bounds with the clamped velocity components zeroed."""
         np.maximum(v, -self.v_max, out=v)
         np.minimum(v, self.v_max, out=v)
@@ -302,41 +286,33 @@ class Swarm:
             self.last_improve_eval = self.eval_count
         return improved
 
-    def _land_in_order(self, lo: int, hi: int, land, stale) -> None:
-        """Land particles lo..hi-1 as one block with ``land(lo, hi)``, then
+    def _land_in_order(self, k: int, land, stale) -> None:
+        """Land particles 0..k-1 as one block with ``land(slice(0, k))``, then
         evaluate and record them in index order.  After particle j's record,
         ``stale(j, improved, moved)`` (``improved``: j's pbest improved;
-        ``moved``: gbest fell since the last landing) says whether it made the
-        landings of j+1..hi-1 stale; those are landed again with
-        ``land(j + 1, hi)`` before recording goes on."""
-        i = lo
-        while i < hi:
-            best_at_landing = self.gbest_fit
-            land(i, hi)
-            while i < hi:
-                improved = self._record(i)
-                i += 1
-                if stale(i - 1, improved, self.gbest_fit < best_at_landing):
-                    break
+        ``moved``: j's record moved gbest) returns the later particles the
+        record made stale, a slice or an index array, or None; those are
+        landed again with ``land(rows)`` before recording goes on."""
+        land(slice(0, k))
+        for j in range(k):
+            best = self.gbest_fit
+            improved = self._record(j)
+            rows = stale(j, improved, self.gbest_fit < best)
+            if rows is not None:
+                land(rows)
 
-    def _refresh(self, j: int, improved: bool, hi: int) -> bool:
+    def _refresh(self, j: int, improved: bool, k: int):
         """Exemplar bookkeeping after particle j's record: a stalled particle
         counts the stall and, past the refreshing gap, draws a new exemplar
-        row; an improved one returns whether the exemplar row of any of
-        particles j+1..hi-1 names j."""
+        row; an improved one returns the particles of j+1..k-1 whose
+        exemplar row names j, or None if there are none."""
         if improved:
-            return bool((self.exemplar[j + 1:hi] == j).any())
+            rows = j + 1 + np.flatnonzero((self.exemplar[j + 1:k] == j).any(axis=1))
+            return rows if rows.size else None
         self.stall[j] += 1
         if self.stall[j] > REFRESH_GAP:
             self.assign_exemplar(j)
-        return False
-
-    def _stops(self, k: int) -> list:
-        """Segment ends for an iteration over k particles: one past each
-        particle that may draw a new exemplar row after its record (its stall
-        count is at least the refreshing gap now, and only its own record
-        changes it), then k."""
-        return (np.flatnonzero(self.stall[:k - 1] >= REFRESH_GAP) + 1).tolist() + [k]
+        return None
 
     # -- step variants ------------------------------------------------------
 
@@ -362,11 +338,11 @@ class Swarm:
             + (rows[:, 1:2] * r[:, 0]) * (self.pbest_pos[:k] - x0)
         social = rows[:, 2:3] * r[:, 1]
 
-        def land(a, b):
-            x = x0[a:b]
-            self._fly(slice(a, b), x, own[a:b] + social[a:b] * (self.gbest_pos - x))
+        def land(s):
+            x = x0[s]
+            self._fly(s, x, own[s] + social[s] * (self.gbest_pos - x))
 
-        self._land_in_order(0, k, land, lambda j, improved, moved: moved)
+        self._land_in_order(k, land, lambda j, improved, moved: slice(j + 1, k) if moved else None)
         return self._finish_iteration(start_best)
 
     def clpso_step(self, coeffs) -> bool:
@@ -376,19 +352,13 @@ class Swarm:
         start_best = self.gbest_fit
         w, c = table[0, :2].tolist()
         wv = w * self.velocities[:k]
-        cr = np.empty((k, self.dim))  # c * r, drawn segment by segment
+        cr = c * self.rng.random((k, self.dim))
 
-        def land(a, b):
-            s = slice(a, b)
-            self._fly(s, x0[s], wv[s] + cr[s] * (self._exemplar_target(s) - x0[s]))
+        def land(s):
+            x = x0[s]
+            self._fly(s, x, wv[s] + cr[s] * (self._exemplar_target(s) - x))
 
-        i = 0
-        for end in self._stops(k):
-            self.rng.random(out=cr[i:end])
-            cr[i:end] *= c
-            self._land_in_order(i, end, land,
-                                lambda j, improved, moved: self._refresh(j, improved, end))
-            i = end
+        self._land_in_order(k, land, lambda j, improved, moved: self._refresh(j, improved, k))
         return self._finish_iteration(start_best)
 
     def rlpso_step(self, coeffs) -> bool:
@@ -400,42 +370,26 @@ class Swarm:
         rows = table[self._group[:k]]
         wv = rows[:, 0:1] * self.velocities[:k]
         coeff = np.repeat(rows[:, 1:4], d, axis=1)  # c1 | c2 | c3, one column per draw
-        gate = (rows[:, 4] * 0.01) * self.stall[:k]
-        r = np.empty((k, 3 * d + 1))  # c1*r1 | c2*r2 | c3*r3 | mutation draw
+        r = self.rng.random((k, 3 * d + 1))  # r1 | r2 | r3 | mutation draw
+        fired = r[:, 3 * d] < (rows[:, 4] * 0.01) * self.stall[:k]
+        if fired.any():
+            x0[fired] = self.rng.uniform(self.objective.lower, self.objective.upper,
+                                         (int(fired.sum()), d))
+        r[:, :3 * d] *= coeff
 
-        def land(a, b):
-            s = slice(a, b)
+        def land(s):
             x, q = x0[s], r[s]
             v = ((wv[s] + q[:, :d] * (self._exemplar_target(s) - x))
                  + q[:, d:2 * d] * (self.gbest_pos - x)) \
                 + q[:, 2 * d:3 * d] * (self.pbest_pos[s] - x)
+            v[fired[s]] = 0.0  # a zero velocity lands the in-box mutant exactly where drawn
             self._fly(s, x, v)
 
-        i = 0
-        for stop in self._stops(k):
-            while i < stop:
-                end = stop
-                state = self.rng.bit_generator.state
-                self.rng.random(out=r[i:end])
-                fires = r[i:end, 3 * d] < gate[i:end]
-                f = i + int(fires.argmax())
-                if fires[f - i]:
-                    # f's position draw follows its row: draw no rows past it
-                    end = f + 1
-                    if end < stop:
-                        self.rng.bit_generator.state = state
-                        self.rng.random(out=r[i:end])
-                    mutant = self.rng.uniform(self.objective.lower, self.objective.upper, d)
-                else:
-                    f = end
-                r[i:end, :3 * d] *= coeff[i:end]
-                self._land_in_order(i, f, land, lambda j, improved, moved:
-                                    self._refresh(j, improved, f) or moved)
-                if f < end:
-                    # a zero velocity lands the in-box mutant exactly where drawn
-                    self._fly(f, mutant, np.zeros(d))
-                    self._refresh(f, self._record(f), end)
-                i = end
+        def stale(j, improved, moved):
+            rows = self._refresh(j, improved, k)
+            return slice(j + 1, k) if moved else rows
+
+        self._land_in_order(k, land, stale)
         return self._finish_iteration(start_best)
 
 

@@ -36,18 +36,15 @@ class CountingObjective:
 class ScriptedRng:
     """Replays pre-chosen draws so threshold branches can be forced."""
 
-    def __init__(self, randoms=(), integers=(), uniforms=()):
+    def __init__(self, randoms=(), uniforms=()):
         self._randoms = list(randoms)
-        self._integers = list(integers)
         self._uniforms = list(uniforms)
 
     def random(self, size=None):
         if size is None:
             return self._randoms.pop(0)
-        return np.array([self._randoms.pop(0) for _ in range(size)])
-
-    def integers(self, high):
-        return self._integers.pop(0)
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        return np.array([self._randoms.pop(0) for _ in range(int(np.prod(shape)))]).reshape(shape)
 
     def uniform(self, low, high, size=None):
         return np.array(self._uniforms.pop(0))

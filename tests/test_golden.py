@@ -25,8 +25,8 @@ from rlapso.ddpg import ActorPolicy, DdpgAgent, action_width
 GOLDEN = {
     "training": "a79d63cdbb3854587ef83c83731cc61705f9d6a67dd43df87e26259578ac56f5",
     "training_relative": "7b3229ea993cc0014a6278fcba768709a45cd40237c6bff231ab802a4f724f41",
-    "training_rlpso": "1d6cac9d1b1f8c71619fced3e8cd09df2000ec4c41c75dc65aca889fdfeec998",
-    "curves": "6b12071ff9f2470d2d36061246200bc2f3887188655e8874f6fca9f99653e130",
+    "training_rlpso": "ca208be5252b0a2fc839b0e5c38fa16ead9b81b75d6b23401ba52b35a3c2ec14",
+    "curves": "2c5635fbded2d7f127dbe6fac246dc2e6745125697c0c0ba0b616973bb67260a",
     "learner_steps": "10cacafc4941ab7d801d2fed16ff9027a052221f2687beb048da8c4513b74bee",
 }
 

@@ -250,6 +250,12 @@ class TestRunExperiment:
         assert (out / "summary.csv").exists()
         assert curve_filename("sphere", "pso", 0) in curves
 
+    def test_negative_seed_named_before_any_file(self, tmp_path):
+        cfg = tiny_config(tmp_path, seed=-2)
+        with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -2"):
+            run_experiment(cfg)
+        assert not Path(cfg.out_dir).exists()
+
     def test_repeat_is_byte_identical(self, tmp_path):
         cfg_a = tiny_config(tmp_path, out_dir=str(tmp_path / "a"))
         cfg_b = tiny_config(tmp_path, out_dir=str(tmp_path / "b"))

@@ -141,28 +141,28 @@ class TestPsoStep:
             assert swarm.gbest_fit == gbest_fit
 
 
-def _oracle_tournament(rng, n, i, pbest_fit):
-    a = int(rng.integers(n - 1))
-    j1 = a + (a >= i)
-    b = int(rng.integers(n - 2))
-    lo, hi = (i, j1) if i < j1 else (j1, i)
-    j2 = b + (b >= lo)
-    j2 = j2 + (j2 >= hi)
-    return j1 if pbest_fit[j1] < pbest_fit[j2] else j2
+def _exemplar_rng(seed):
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
 
 
 def _oracle_assign(rng, n, dim, i, pbest_fit):
+    """Particle i's exemplar row from one ``rng.random((3, dim))`` block,
+    dimension by dimension: learn when u0 < Pc (the smallest u0 learns if
+    none does), taking the better of the u1-th particle other than i and the
+    u2-th particle other than i and that first rival."""
     pc = 0.05 + 0.45 * (np.expm1(10.0 * i / (n - 1)) / np.expm1(10.0))
-    row = np.empty(dim, dtype=int)
+    u = rng.random((3, dim))
+    learn = [u[0, d] < pc for d in range(dim)]
+    if not any(learn):
+        learn[int(np.argmin(u[0]))] = True
+    row = np.full(dim, i)
     for d in range(dim):
-        if rng.random() >= pc:
-            row[d] = i
-        else:
-            row[d] = _oracle_tournament(rng, n, i, pbest_fit)
-    if np.all(row == i):
-        d0 = int(rng.integers(dim))
-        a = int(rng.integers(n - 1))
-        row[d0] = a + (a >= i)
+        if learn[d]:
+            others = [p for p in range(n) if p != i]
+            j1 = others[int(u[1, d] * (n - 1))]
+            rest = [p for p in others if p != j1]
+            j2 = rest[int(u[2, d] * (n - 2))]
+            row[d] = j1 if pbest_fit[j1] < pbest_fit[j2] else j2
     return row
 
 
@@ -194,7 +194,7 @@ class TestClpsoStep:
         n, dim = 3, 2
         swarm = Swarm(obj, n, 1000, seed=seed, subgroup_count=1, variant="clpso")
 
-        rng = np.random.default_rng(seed)
+        rng, exemplar_rng = np.random.default_rng(seed), _exemplar_rng(seed)
         pos = rng.uniform(obj.lower, obj.upper, (n, dim))
         vel = rng.uniform(-swarm.v_max, swarm.v_max, (n, dim))
         pbest_fit = np.array([obj.evaluate(p) for p in pos])
@@ -204,7 +204,7 @@ class TestClpsoStep:
         stall = np.zeros(n, dtype=int)
         exemplar = np.empty((n, dim), dtype=int)
         for i in range(n):
-            exemplar[i] = _oracle_assign(rng, n, dim, i, pbest_fit)
+            exemplar[i] = _oracle_assign(exemplar_rng, n, dim, i, pbest_fit)
 
         assert np.array_equal(swarm.exemplar, exemplar)
 
@@ -232,7 +232,7 @@ class TestClpsoStep:
                         gbest_fit = fit
                     stall[i] += 1
                     if stall[i] > m:
-                        exemplar[i] = _oracle_assign(rng, n, dim, i, pbest_fit)
+                        exemplar[i] = _oracle_assign(exemplar_rng, n, dim, i, pbest_fit)
                         stall[i] = 0
             swarm.clpso_step(const_coeffs(w, c, 0.0))
             assert np.array_equal(swarm.positions, pos)
@@ -283,8 +283,11 @@ class TestRlpsoStep:
 
 
 class _Oracle:
-    """The documented per-particle draw order, replayed on copies of a swarm's
-    state with a generator cloned from the swarm's.  Counters record which
+    """The documented draw order, replayed particle by particle on copies of a
+    swarm's state with generators cloned from the swarm's two.  RLPSO draws
+    the iteration's rows up front and each mutant, from the same generator,
+    at its particle's turn; exemplar rows come from the second generator.
+    Counters record which
     branches fired, so a test can show that its case reached them:
     ``early_gbest`` counts gbest improvements before an iteration's last
     particle, whose later particles must see the new gbest,
@@ -309,6 +312,8 @@ class _Oracle:
         self.exemplar = swarm.exemplar.copy()
         self.rng = np.random.default_rng()
         self.rng.bit_generator.state = swarm.rng.bit_generator.state
+        self.exemplar_rng = np.random.default_rng()
+        self.exemplar_rng.bit_generator.state = swarm.exemplar_rng.bit_generator.state
         self.clamped_v = self.clamped_x = self.mutations = self.reassigned = 0
         self.early_gbest = self.most_gbest_moves = 0
         self.read_improved = self.early_mutations = 0
@@ -349,7 +354,8 @@ class _Oracle:
         if m is not None and not improved:
             self.stall[i] += 1
             if self.stall[i] > m:
-                self.exemplar[i] = _oracle_assign(self.rng, self.n, self.dim, i, self.pbest_fit)
+                self.exemplar[i] = _oracle_assign(self.exemplar_rng, self.n, self.dim, i,
+                                                  self.pbest_fit)
                 self.stall[i] = 0
                 self.reassigned += 1
 
@@ -357,6 +363,8 @@ class _Oracle:
         start = self.gbest_fit
         self._last = min(self.n, self.budget - self.evals) - 1
         self._gbest_moves = 0
+        if variant == "rlpso":
+            rows = [self.rng.random(3 * self.dim + 1) for _ in range(self._last + 1)]
         for i in range(self.n):
             if self.evals >= self.budget:
                 self.cut_short = True
@@ -369,19 +377,19 @@ class _Oracle:
                 self._record(i, self._land(i, x + v, v), m)
                 continue
             c = coeffs[self._group(i)]
-            r1 = self.rng.random(self.dim)
-            r2 = self.rng.random(self.dim)
             if variant == "pso":
+                r1 = self.rng.random(self.dim)
+                r2 = self.rng.random(self.dim)
                 v = c.w * self.vel[i] + c.c1 * r1 * (self.pbest_pos[i] - x) \
                     + c.c2 * r2 * (self.gbest_pos - x)
                 v = self._clip(v)
                 self._record(i, self._land(i, x + v, v))
                 continue
-            r3 = self.rng.random(self.dim)
+            r1, r2, r3 = np.split(rows[i][:-1], 3)
+            r4 = rows[i][-1]
             v = c.w * self.vel[i] + c.c1 * r1 * (self._target(i) - x) \
                 + c.c2 * r2 * (self.gbest_pos - x) + c.c3 * r3 * (self.pbest_pos[i] - x)
             v = self._clip(v)
-            r4 = self.rng.random()
             if r4 < c.c4 * 0.01 * self.stall[i]:
                 self.mutations += 1
                 self.early_mutations += int(i < self._last)
@@ -445,6 +453,7 @@ class TestDrawOrderOracle:
         assert swarm.eval_count == oracle.evals
         assert swarm.last_improve_eval == oracle.last_improve_eval
         assert swarm.rng.bit_generator.state == oracle.rng.bit_generator.state
+        assert swarm.exemplar_rng.bit_generator.state == oracle.exemplar_rng.bit_generator.state
 
     def _run(self, variant, seed, step, coeffs, stale_gbest=False):
         swarm = self._swarm(variant, seed, stale_gbest)
@@ -516,6 +525,32 @@ class TestDrawOrderOracle:
         assert oracle.read_improved >= 1 and oracle.reassigned >= 1
         if variant == "rlpso":
             assert oracle.early_mutations >= 1 and oracle.early_gbest >= 1
+
+
+class TestTwoGenerators:
+    """Exemplar rows come from ``exemplar_rng`` alone, the velocity terms and
+    mutants from ``rng`` alone, so neither stream shifts the other."""
+
+    def test_pso_never_draws_from_the_exemplar_generator(self):
+        swarm = Swarm(make_objective("rastrigin", 4, 1), 10, 200, seed=7)
+        untouched = _exemplar_rng(7).bit_generator.state
+        assert swarm.exemplar_rng.bit_generator.state == untouched
+        while swarm.eval_count < swarm.eval_budget:
+            swarm.pso_step(STRESS_COEFFS)
+            assert swarm.exemplar_rng.bit_generator.state == untouched
+
+    def test_exemplar_draws_leave_the_velocity_stream_alone(self):
+        obj = make_objective("rastrigin", 4, 2)
+        a, b = (Swarm(obj, 10, 400, seed=8, variant="clpso") for _ in range(2))
+        b.exemplar_rng = _exemplar_rng(9)
+        for swarm in (a, b):
+            swarm.stall[:] = 100  # every record without improvement reassigns
+        coeffs = const_coeffs(0.7, 1.5, 0.0, groups=5)
+        while a.eval_count < a.eval_budget:
+            a.clpso_step(coeffs)
+            b.clpso_step(coeffs)
+            assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        assert not np.array_equal(a.exemplar, b.exemplar)
 
 
 class TestSchedules:
@@ -638,18 +673,19 @@ class TestLearningProbability:
     def test_forced_high_draw_keeps_own_dimensions(self):
         swarm = Swarm(flat_objective(4), 5, 1000, seed=1, subgroup_count=1,
                       variant="clpso")
-        # u = 0.99 >= Pc for every particle: row starts all-own, then the
-        # all-own fallback reassigns exactly one dimension
-        swarm.rng = ScriptedRng(randoms=[0.99] * 4, integers=[2, 0])
+        swarm.pbest_fit = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        # u0 >= Pc for every dimension: the all-own fallback makes the
+        # smallest draw, dimension 2, learn; its rivals are particles 0 and 1
+        swarm.exemplar_rng = ScriptedRng(randoms=[0.99, 0.99, 0.97, 0.99]
+                                         + [0.5, 0.5, 0.0, 0.5] + [0.5, 0.5, 0.0, 0.5])
         row = swarm.assign_exemplar(2)
-        assert (row == 2).sum() == 3
-        assert row[2] == 0  # drawn index 0 maps below i=2 unchanged
+        assert list(row) == [2, 2, 0, 2]
 
     def test_forced_low_draw_always_tournaments(self):
         swarm = Swarm(flat_objective(2), 5, 1000, seed=1, subgroup_count=1,
                       variant="clpso")
         swarm.pbest_fit = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
-        swarm.rng = ScriptedRng(randoms=[0.0, 0.0], integers=[0, 0, 3, 0])
+        swarm.exemplar_rng = ScriptedRng(randoms=[0.0, 0.0] + [0.0, 0.9] + [0.0, 0.0])
         row = swarm.assign_exemplar(0)
         # first dim: candidates 1 and 2 -> 2 wins; second dim: candidates 4, 1 -> 4
         assert list(row) == [2, 4]
