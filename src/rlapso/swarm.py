@@ -10,8 +10,8 @@ budget.  Per iteration it calls ``controller(swarm, t, t_max)`` once, steps,
 appends (eval_count, gbest) to the curve, then calls ``on_step(swarm,
 prev_best)`` if given.  The controller returns a float64 coefficient table
 of shape ``(subgroup_count, 5)``, one row per subgroup with columns ``w, c1,
-c2, c3, c4``, never draws from ``swarm.rng``, and its ``adapter`` attribute
-tags the run's record; 0 <= t <= t_max = max(1, budget // n - 1).
+c2, c3, c4``, never draws from the swarm's generators, and its ``adapter``
+attribute tags the run's record; 0 <= t <= t_max = max(1, budget // n - 1).
 ``Schedule`` runs the offline schedules, ``ddpg.PolicyController`` a
 trained policy.  The table is all that ``pso_step``, ``clpso_step`` and
 ``rlpso_step`` take: RLPSO alone reads c3 and c4, and CLPSO reads w and c1

@@ -43,8 +43,8 @@ class ScriptedRng:
     def random(self, size=None):
         if size is None:
             return self._randoms.pop(0)
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        return np.array([self._randoms.pop(0) for _ in range(int(np.prod(shape)))]).reshape(shape)
+        values = [self._randoms.pop(0) for _ in range(int(np.prod(size)))]
+        return np.array(values).reshape(size)
 
     def uniform(self, low, high, size=None):
         return np.array(self._uniforms.pop(0))

@@ -287,10 +287,9 @@ class _Oracle:
     swarm's state with generators cloned from the swarm's two.  RLPSO draws
     the iteration's rows up front and each mutant, from the same generator,
     at its particle's turn; exemplar rows come from the second generator.
-    Counters record which
-    branches fired, so a test can show that its case reached them:
-    ``early_gbest`` counts gbest improvements before an iteration's last
-    particle, whose later particles must see the new gbest,
+    Counters record which branches fired, so a test can show that its case
+    reached them: ``early_gbest`` counts gbest improvements before an
+    iteration's last particle, whose later particles must see the new gbest,
     ``most_gbest_moves`` is the most gbest improvements in one iteration,
     ``read_improved`` counts pbest improvements that a later particle's
     exemplar row reads in the same iteration, and ``early_mutations`` counts
