@@ -26,6 +26,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
 
 
+def _seed(text: str) -> int:
+    """A seed value: numpy generators take only non-negative integers."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rlapso", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -40,7 +47,7 @@ def _build_parser() -> _Parser:
     train.add_argument("--episodes", type=int, default=300)
     train.add_argument("--budget", type=int, default=10_000)
     train.add_argument("--particles", type=int, default=40)
-    train.add_argument("--seed", type=int, default=0)
+    train.add_argument("--seed", type=_seed, default=0)
     train.add_argument("--out", required=True, help="model output path")
     train.add_argument("--validate-every", type=int, default=25,
                        help="greedy-validation cadence for snapshot selection (0 disables)")
@@ -50,12 +57,12 @@ def _build_parser() -> _Parser:
                          help="run one algorithm once and write its convergence curve")
     run.add_argument("--function", required=True, choices=sorted(FUNCTIONS))
     run.add_argument("--dim", type=int, default=10)
-    run.add_argument("--fn-seed", type=int, default=1234)
+    run.add_argument("--fn-seed", type=_seed, default=1234)
     run.add_argument("--algo", required=True, choices=ALGORITHMS)
     run.add_argument("--model", default=None, help="trained model (rlam-*/rlpso only)")
     run.add_argument("--budget", type=int, default=10_000)
     run.add_argument("--particles", type=int, default=40)
-    run.add_argument("--seed", type=int, default=1)
+    run.add_argument("--seed", type=_seed, default=1)
     run.add_argument("--out", required=True, help="curve CSV output path")
 
     compare = sub.add_parser("compare",

@@ -24,7 +24,7 @@ import numpy as np
 from .benchmarks import FUNCTIONS, make_objective
 from .neural import (AdamState, GradientTape, Mlp, adam_update, load_weights, save_weights,
                      soft_update)
-from .swarm import CONSTANT_COEFFS, DEFAULT_SUBGROUPS, RunRecord, Swarm, drive
+from .swarm import CONSTANT_COEFFS, SUBGROUPS, RunRecord, Swarm, drive
 
 STATE_WIDTH = 15
 SIN_SCALES = (1.0, 2.0, 4.0, 8.0, 16.0)  # 2**i for i = 0..4
@@ -120,16 +120,15 @@ class DdpgAgent:
     learner's passes through it.
     """
 
-    def __init__(self, action_dim: int, seed: int, *, state_dim: int = STATE_WIDTH,
-                 gamma: float = 0.99, tau: float = 0.005, noise_sigma: float = 0.5,
-                 batch_size: int = 64, buffer_capacity: int = 100_000, warmup: int = 500,
+    def __init__(self, action_dim: int, seed: int, *, gamma: float = 0.99, tau: float = 0.005,
+                 noise_sigma: float = 0.5, batch_size: int = 64,
+                 buffer_capacity: int = 100_000, warmup: int = 500,
                  actor_lr: float = 1e-4, critic_lr: float = 1e-3,
                  actor_hidden=ACTOR_HIDDEN, critic_hidden=CRITIC_HIDDEN):
         if not 0.0 < tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
         if not 0.0 <= gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
-        self.state_dim = state_dim
         self.action_dim = action_dim
         self.gamma = gamma
         self.tau = tau
@@ -140,8 +139,8 @@ class DdpgAgent:
         self.critic_lr = critic_lr
         init_rng = np.random.default_rng(seed)
         self.noise_rng = np.random.default_rng(seed + 1)
-        self.actor = Mlp.init([state_dim, *actor_hidden, action_dim], "tanh", init_rng)
-        self.critic = Mlp.init([state_dim + action_dim, *critic_hidden, 1], "identity", init_rng)
+        self.actor = Mlp.init([STATE_WIDTH, *actor_hidden, action_dim], "tanh", init_rng)
+        self.critic = Mlp.init([STATE_WIDTH + action_dim, *critic_hidden, 1], "identity", init_rng)
         self.actor_target = self.actor.clone()
         self.critic_target = self.critic.clone()
         self.actor_opt = AdamState(self.actor)
@@ -195,7 +194,7 @@ class DdpgAgent:
         actor_objective = float(np.mean(q_pred))
         _, input_grad = self.critic.backward(tapes["critic"], np.full((b, 1), 1.0 / b),
                                              param_grads=False)
-        action_grad = input_grad[:, self.state_dim :]
+        action_grad = input_grad[:, STATE_WIDTH:]
         actor_grads, _ = self.actor.backward(tapes["actor"], action_grad, input_grad=False)
         np.negative(actor_grads.flat, out=actor_grads.flat)  # gradient *ascent* on the critic value
         adam_update(self.actor, actor_grads, self.actor_opt, self.actor_lr)
@@ -209,10 +208,10 @@ def coefficient_sets(action, mode: str, variant: str) -> np.ndarray:
     row per subgroup's slice (see the module docstring)."""
     action = np.asarray(action, dtype=float)
     width = GROUP_WIDTH[variant]
-    if action.shape != (width * DEFAULT_SUBGROUPS,):
+    if action.shape != (width * SUBGROUPS,):
         raise ValueError(f"expected action of length {action_width(variant)}, got {action.shape}")
-    slices = action.reshape(DEFAULT_SUBGROUPS, width)
-    table = np.zeros((DEFAULT_SUBGROUPS, 5))
+    slices = action.reshape(SUBGROUPS, width)
+    table = np.zeros((SUBGROUPS, 5))
     if mode == "absolute":
         ah = (slices + 1.0) / 2.0  # each slice moved to [0, 1]
         # add the shares left to right, (s1 + s2) + s3: the order fixes the last bits
@@ -236,7 +235,7 @@ def coefficient_sets(action, mode: str, variant: str) -> np.ndarray:
 def action_width(variant: str) -> int:
     if variant not in GROUP_WIDTH:
         raise ValueError(f"no policy adapts variant {variant!r}")
-    return GROUP_WIDTH[variant] * DEFAULT_SUBGROUPS
+    return GROUP_WIDTH[variant] * SUBGROUPS
 
 
 class PolicyController:
@@ -276,10 +275,10 @@ class EpisodeRecord:
 
 
 _VALIDATION_SEED_BASE = 50_000
+_VALIDATION_SEEDS = 3  # greedy runs per pool function
 
 
-def _validation_score(agent, pool, mode, variant, dim, n_particles, budget,
-                      n_seeds=3) -> float:
+def _validation_score(agent, pool, mode, variant, dim, n_particles, budget) -> float:
     """Greedy performance of the current actor on fresh pool instances.
 
     Mean log-error to the known optimum, so functions with different scales
@@ -287,12 +286,12 @@ def _validation_score(agent, pool, mode, variant, dim, n_particles, budget,
     """
     total = 0.0
     for fi, fn_id in enumerate(pool):
-        for v in range(n_seeds):
+        for v in range(_VALIDATION_SEEDS):
             objective = make_objective(fn_id, dim, _VALIDATION_SEED_BASE + 977 * fi + v)
             rec = adapted_run(agent, objective, variant, mode, budget,
                               _VALIDATION_SEED_BASE + v, n_particles=n_particles)
             total += math.log10(max(rec.final_fit - objective.bias, 1e-12))
-    return total / (len(pool) * n_seeds)
+    return total / (len(pool) * _VALIDATION_SEEDS)
 
 
 def _training_episode(agent: DdpgAgent, swarm: Swarm, mode: str, variant: str) -> list[float]:
@@ -410,7 +409,7 @@ def save_model(actor: Mlp, path, *, mode: str, variant: str, pool, episodes: int
     meta = {
         "mode": mode,
         "variant": variant,
-        "subgroups": DEFAULT_SUBGROUPS,
+        "subgroups": SUBGROUPS,
         "action_width": actor.layer_dims[-1],
         "state_width": actor.layer_dims[0],
         "pool": ",".join(pool),
@@ -431,7 +430,7 @@ def check_model(policy, meta: dict, mode: str, variant: str, user: str) -> None:
     expected = action_width(variant)
     if policy.action_dim != expected:
         raise ValueError(f"model emits {policy.action_dim} action values, {user} needs {expected}")
-    for key, wanted in (("mode", mode), ("variant", variant), ("subgroups", DEFAULT_SUBGROUPS),
+    for key, wanted in (("mode", mode), ("variant", variant), ("subgroups", SUBGROUPS),
                         ("state_width", STATE_WIDTH), ("action_width", expected)):
         declared = meta.get(key)
         if declared is not None and str(declared) != str(wanted):

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ddpg
 from .benchmarks import FUNCTIONS, make_objective
-from .swarm import DEFAULT_SUBGROUPS, RunRecord, Schedule, Swarm, drive
+from .swarm import SUBGROUPS, RunRecord, Schedule, Swarm, drive
 
 # Each algorithm's swarm variant and controller: a schedule, carrying its
 # records' adapter tag, or the mode of the trained policy that drives a
@@ -170,8 +170,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.runs < 1 or self.budget < self.particles or self.dim < 2:
             raise ConfigError("runs, budget, and dim must be sensible positive values")
-        if self.particles < DEFAULT_SUBGROUPS:
-            raise ConfigError(f"need at least {DEFAULT_SUBGROUPS} particles, got {self.particles}")
+        if self.particles < SUBGROUPS:
+            raise ConfigError(f"need at least {SUBGROUPS} particles, got {self.particles}")
         return self
 
 

@@ -317,7 +317,7 @@ def save_weights(net: Mlp, path) -> None:
         f.write(net.params.astype("<f8", copy=False).tobytes())
 
 
-def load_weights(path, expected_dims=None) -> Mlp:
+def load_weights(path) -> Mlp:
     """Read a weight file back into a fresh ``Mlp`` (bit-exact round trip)."""
     with open(path, "rb") as f:
         data = f.read()
@@ -340,8 +340,6 @@ def load_weights(path, expected_dims=None) -> Mlp:
     offset += 1
     if tag not in _TAG_ACTIVATIONS:
         raise WeightsFormatError(f"unknown activation tag {tag}")
-    if expected_dims is not None and dims != list(expected_dims):
-        raise WeightsShapeError(f"expected layer dims {list(expected_dims)}, file has {dims}")
     n_params = _param_count(dims)
     payload = data[offset:]
     if len(payload) < 8 * n_params:

@@ -9,7 +9,7 @@ Controller contract: ``drive`` is the one loop that runs a swarm to its
 budget.  Per iteration it calls ``controller(swarm, t, t_max)`` once, steps,
 appends (eval_count, gbest) to the curve, then calls ``on_step(swarm,
 prev_best)`` if given.  The controller returns a float64 coefficient table
-of shape ``(subgroup_count, 5)``, one row per subgroup with columns ``w, c1,
+of shape ``(SUBGROUPS, 5)``, one row per subgroup with columns ``w, c1,
 c2, c3, c4``, never draws from the swarm's generators, and its ``adapter``
 attribute tags the run's record; 0 <= t <= t_max = max(1, budget // n - 1).
 ``Schedule`` runs the offline schedules, ``ddpg.PolicyController`` a
@@ -65,7 +65,7 @@ import numpy as np
 from .benchmarks import Objective
 
 V_MAX_FRACTION = 0.2
-DEFAULT_SUBGROUPS = 5
+SUBGROUPS = 5  # one coefficient row per subgroup; the actor's output width fixes it
 REFRESH_GAP = 7  # CLPSO's refreshing gap m
 
 
@@ -125,33 +125,29 @@ class RunRecord:
     final_fit: float = float("inf")
 
 
+_CONSTANT_TABLE = np.full((SUBGROUPS, 5), CONSTANT_COEFFS)
+_CONSTANT_TABLE.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class Schedule:
     """Controller that gives every subgroup one offline schedule's coefficients.
 
-    The constant schedule returns one read-only table per subgroup count."""
+    The constant schedule returns one shared read-only table."""
 
     kind: str
     adapter: str
-    _constant_tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __call__(self, swarm: Swarm, t: int, t_max: int) -> np.ndarray:
         coeffs = schedule_coeffs(self.kind, t, t_max)
-        if self.kind != "constant":
-            return np.full((swarm.subgroup_count, 5), coeffs)
-        table = self._constant_tables.get(swarm.subgroup_count)
-        if table is None:
-            table = np.full((swarm.subgroup_count, 5), coeffs)
-            table.flags.writeable = False
-            self._constant_tables[swarm.subgroup_count] = table
-        return table
+        if self.kind == "constant":
+            return _CONSTANT_TABLE
+        return np.full((SUBGROUPS, 5), coeffs)
 
 
 def learning_probability(i: int, n: int) -> float:
     """Per-particle exemplar-learning probability, 0.05 for the first particle
     up to 0.5 for the last (i is a 0-based index)."""
-    if n <= 1:
-        return 0.05
     return 0.05 + 0.45 * (np.expm1(10.0 * i / (n - 1)) / np.expm1(10.0))
 
 
@@ -162,15 +158,11 @@ class Swarm:
     mutably across threads.
     """
 
-    def __init__(self, objective: Objective, n: int, budget: int, seed: int,
-                 variant: str = "pso", subgroup_count: int = DEFAULT_SUBGROUPS):
+    def __init__(self, objective: Objective, n: int, budget: int, seed: int, variant: str = "pso"):
         if variant not in ("pso", "clpso", "rlpso"):
             raise ValueError(f"unknown variant {variant!r}")
-        if n < subgroup_count:
-            raise ValueError(f"need at least {subgroup_count} particles, got {n}")
-        if variant != "pso" and n < 3:
-            raise ValueError(f"the {variant} exemplar tournament needs at least 3 particles, "
-                             f"got {n}")
+        if n < SUBGROUPS:
+            raise ValueError(f"need at least {SUBGROUPS} particles, got {n}")
         if budget < n:
             raise ValueError(f"budget {budget} cannot cover initialization of {n} particles")
         self.objective = objective
@@ -179,12 +171,11 @@ class Swarm:
         self.eval_budget = budget
         self.variant = variant
         self.seed = seed
-        self.subgroup_count = subgroup_count
         self.rng = np.random.default_rng(seed)
         self.exemplar_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
         self.v_max = V_MAX_FRACTION * (objective.upper - objective.lower)
-        # contiguous subgroups of n // subgroup_count, the remainder joining the last
-        self._group = np.minimum(np.arange(n) // (n // subgroup_count), subgroup_count - 1)
+        # contiguous subgroups of n // SUBGROUPS, the remainder joining the last
+        self._group = np.minimum(np.arange(n) // (n // SUBGROUPS), SUBGROUPS - 1)
         self._dims = np.arange(self.dim)
 
         self.positions = self.rng.uniform(objective.lower, objective.upper, (n, self.dim))
@@ -239,9 +230,9 @@ class Swarm:
         row per subgroup, then the budget.  Returns the table, the number k
         of particles the budget still covers and a copy of their positions."""
         table = np.asarray(coeffs, dtype=float)
-        if table.shape != (self.subgroup_count, 5):
-            raise ValueError(f"expected {self.subgroup_count} coefficient sets as a "
-                             f"({self.subgroup_count}, 5) table, got shape {table.shape}")
+        if table.shape != (SUBGROUPS, 5):
+            raise ValueError(f"expected {SUBGROUPS} coefficient sets as a "
+                             f"({SUBGROUPS}, 5) table, got shape {table.shape}")
         if self.eval_count >= self.eval_budget:
             raise BudgetExhaustedError(
                 f"evaluation budget {self.eval_budget} exhausted (eval_count={self.eval_count})"
@@ -280,26 +271,28 @@ class Swarm:
             self.gbest_pos = x.copy()
         return improved
 
-    def _finish_iteration(self, start_best: float) -> bool:
-        improved = self.gbest_fit < start_best
-        if improved:
-            self.last_improve_eval = self.eval_count
-        return improved
-
-    def _land_in_order(self, k: int, land, stale) -> None:
+    def _land_in_order(self, k: int, land) -> bool:
         """Land particles 0..k-1 as one block with ``land(slice(0, k))``, then
-        evaluate and record them in index order.  After particle j's record,
-        ``stale(j, improved, moved)`` (``improved``: j's pbest improved;
-        ``moved``: j's record moved gbest) returns the later particles the
-        record made stale, a slice or an index array, or None; those are
-        landed again with ``land(rows)`` before recording goes on."""
+        evaluate and record them in index order, landing again with
+        ``land(rows)`` the later particles each record made stale: those
+        ``_refresh`` picks (CLPSO, RLPSO), or all of them after a gbest move
+        (PSO, RLPSO).  Returns whether the iteration improved gbest."""
+        start_best = self.gbest_fit
+        follows_gbest = self.variant != "clpso"
+        reads_exemplars = self.variant != "pso"
         land(slice(0, k))
         for j in range(k):
             best = self.gbest_fit
             improved = self._record(j)
-            rows = stale(j, improved, self.gbest_fit < best)
+            rows = self._refresh(j, improved, k) if reads_exemplars else None
+            if follows_gbest and self.gbest_fit < best:
+                rows = slice(j + 1, k)
             if rows is not None:
                 land(rows)
+        improved = self.gbest_fit < start_best
+        if improved:
+            self.last_improve_eval = self.eval_count
+        return improved
 
     def _refresh(self, j: int, improved: bool, k: int):
         """Exemplar bookkeeping after particle j's record: a stalled particle
@@ -331,7 +324,6 @@ class Swarm:
         particles are left untouched).
         """
         table, k, x0 = self._begin(coeffs)
-        start_best = self.gbest_fit
         rows = table[self._group[:k]]  # each particle's subgroup row
         r = self.rng.random((k, 2, self.dim))
         own = rows[:, 0:1] * self.velocities[:k] \
@@ -342,14 +334,12 @@ class Swarm:
             x = x0[s]
             self._fly(s, x, own[s] + social[s] * (self.gbest_pos - x))
 
-        self._land_in_order(k, land, lambda j, improved, moved: slice(j + 1, k) if moved else None)
-        return self._finish_iteration(start_best)
+        return self._land_in_order(k, land)
 
     def clpso_step(self, coeffs) -> bool:
         """One comprehensive-learning iteration with the inertia w and the
         learning coefficient c1 of the table's row 0."""
         table, k, x0 = self._begin(coeffs)
-        start_best = self.gbest_fit
         w, c = table[0, :2].tolist()
         wv = w * self.velocities[:k]
         cr = c * self.rng.random((k, self.dim))
@@ -358,14 +348,12 @@ class Swarm:
             x = x0[s]
             self._fly(s, x, wv[s] + cr[s] * (self._exemplar_target(s) - x))
 
-        self._land_in_order(k, land, lambda j, improved, moved: self._refresh(j, improved, k))
-        return self._finish_iteration(start_best)
+        return self._land_in_order(k, land)
 
     def rlpso_step(self, coeffs) -> bool:
         """One RLPSO iteration: exemplar + gbest + own-pbest velocity terms,
         then a stall-gated mutation that may reinitialize the position."""
         table, k, x0 = self._begin(coeffs)
-        start_best = self.gbest_fit
         d = self.dim
         rows = table[self._group[:k]]
         wv = rows[:, 0:1] * self.velocities[:k]
@@ -385,12 +373,7 @@ class Swarm:
             v[fired[s]] = 0.0  # a zero velocity lands the in-box mutant exactly where drawn
             self._fly(s, x, v)
 
-        def stale(j, improved, moved):
-            rows = self._refresh(j, improved, k)
-            return slice(j + 1, k) if moved else rows
-
-        self._land_in_order(k, land, stale)
-        return self._finish_iteration(start_best)
+        return self._land_in_order(k, land)
 
 
 def drive(swarm: Swarm, controller, on_step=None) -> RunRecord:

@@ -68,6 +68,19 @@ class TestRun:
         assert "model" in capsys.readouterr().err
 
 
+class TestSeedFlags:
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "--function", "sphere", "--algo", "pso", "--seed", "-1"], "--seed"),
+        (["run", "--function", "sphere", "--algo", "pso", "--fn-seed", "-2"], "--fn-seed"),
+        (["train", "--seed", "-3"], "--seed"),
+    ])
+    def test_negative_seed_is_usage_error_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        code = main([*argv, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"argument {flag}: must be a non-negative integer" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCompare:
     def test_missing_config_names_path(self, capsys):
         code = main(["compare", "--config", "missing.cfg"])

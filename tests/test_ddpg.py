@@ -28,30 +28,30 @@ from rlapso.swarm import CoefficientSet, Swarm, drive
 
 class TestObserve:
     def test_collapsed_swarm_has_zero_diversity(self):
-        swarm = Swarm(flat_objective(3), 6, 1000, seed=1, subgroup_count=1)
+        swarm = Swarm(flat_objective(3), 6, 1000, seed=1)
         swarm.positions[:] = np.array([1.0, -2.0, 3.0])
         assert observe(swarm).diversity_norm == 0.0
 
-    def test_two_particles_one_dimension_hand_value(self):
-        # particles at 0 and 2: centroid 1, mean distance 1, diagonal 200
-        swarm = Swarm(flat_objective(1), 2, 1000, seed=2, subgroup_count=1)
-        swarm.positions[:] = np.array([[0.0], [2.0]])
-        assert observe(swarm).diversity_norm == 1.0 / 200.0
+    def test_five_particles_one_dimension_hand_value(self):
+        # particles at 0, 0, 1, 2, 2: centroid 1, mean distance 4/5, diagonal 200
+        swarm = Swarm(flat_objective(1), 5, 1000, seed=2)
+        swarm.positions[:] = np.array([[0.0], [0.0], [1.0], [2.0], [2.0]])
+        assert observe(swarm).diversity_norm == 0.8 / 200.0
 
     def test_iteration_fraction_after_init(self):
-        swarm = Swarm(flat_objective(2), 10, 500, seed=3, subgroup_count=1)
+        swarm = Swarm(flat_objective(2), 10, 500, seed=3)
         assert observe(swarm).iteration_frac == 10 / 500
 
     def test_stagnation_zero_after_improving_iteration(self):
-        swarm = Swarm(flat_objective(2), 10, 500, seed=4, subgroup_count=1)
-        improved = swarm.pso_step([CoefficientSet(0.7, 1.5, 1.5)])
+        swarm = Swarm(flat_objective(2), 10, 500, seed=4)
+        improved = swarm.pso_step([CoefficientSet(0.7, 1.5, 1.5)] * 5)
         assert improved
         assert observe(swarm).stagnation_frac == 0.0
 
     def test_stagnation_grows_when_frozen(self):
-        swarm = Swarm(flat_objective(2), 10, 500, seed=5, subgroup_count=1)
+        swarm = Swarm(flat_objective(2), 10, 500, seed=5)
         for _ in range(3):
-            swarm.pso_step([CoefficientSet(0.0, 0.0, 0.0)])  # frozen: never improves
+            swarm.pso_step([CoefficientSet(0.0, 0.0, 0.0)] * 5)  # frozen: never improves
         assert observe(swarm).stagnation_frac == 30 / 500
 
 
@@ -347,12 +347,12 @@ class TestAgent:
 
     def test_critic_regression_on_fixed_batch(self):
         # gamma = 0 makes y = r: a pure supervised target for the critic
-        agent = DdpgAgent(1, seed=8, state_dim=1, gamma=0.0, batch_size=16,
+        agent = DdpgAgent(1, seed=8, gamma=0.0, batch_size=16,
                           warmup=16, actor_hidden=(), critic_hidden=(),
                           critic_lr=0.02)
         rng = np.random.default_rng(9)
         for _ in range(16):
-            s = rng.uniform(-1, 1, 1)
+            s = rng.uniform(-1, 1, 15)
             a = rng.uniform(-1, 1, 1)
             r = float(2.0 * s[0] + 0.5 * a[0])
             agent.buffer.push(s, a, r, s)

@@ -385,10 +385,3 @@ class TestSerialization:
         path.write_bytes(bytes(data))
         with pytest.raises(WeightsFormatError, match="activation"):
             load_weights(path)
-
-    def test_expected_dims_mismatch_rejected(self, tmp_path):
-        net = zero_net([2, 3, 2])
-        path = tmp_path / "w.bin"
-        save_weights(net, path)
-        with pytest.raises(WeightsShapeError, match="expected"):
-            load_weights(path, expected_dims=[2, 4, 2])

@@ -11,6 +11,7 @@ from conftest import CountingObjective, ScriptedRng, flat_objective
 from rlapso.benchmarks import make_objective
 from rlapso.swarm import (
     CONSTANT_COEFFS,
+    SUBGROUPS,
     BudgetExhaustedError,
     CoefficientSet,
     Schedule,
@@ -21,7 +22,7 @@ from rlapso.swarm import (
 )
 
 
-def const_coeffs(w, c1, c2, c3=0.0, c4=0.0, groups=1):
+def const_coeffs(w, c1, c2, c3=0.0, c4=0.0, groups=SUBGROUPS):
     return [CoefficientSet(w, c1, c2, c3, c4)] * groups
 
 
@@ -44,14 +45,10 @@ class TestInit:
         assert np.array_equal(a.velocities, b.velocities)
 
     def test_too_few_particles_rejected(self):
-        with pytest.raises(ValueError, match="at least"):
-            Swarm(make_objective("sphere", 4, 1), 3, 100, seed=0)
-
-    @pytest.mark.parametrize("variant", ["clpso", "rlpso"])
-    def test_exemplar_tournament_needs_three_particles(self, variant):
-        with pytest.raises(ValueError, match=f"{variant} exemplar tournament needs at least 3"):
-            Swarm(make_objective("sphere", 4, 1), 2, 100, 1, variant=variant, subgroup_count=1)
-        Swarm(make_objective("sphere", 4, 1), 3, 100, 1, variant=variant, subgroup_count=1)
+        for variant in ("pso", "clpso", "rlpso"):
+            with pytest.raises(ValueError, match="need at least 5 particles, got 4"):
+                Swarm(make_objective("sphere", 4, 1), 4, 100, seed=0, variant=variant)
+            Swarm(make_objective("sphere", 4, 1), 5, 100, seed=0, variant=variant)
 
     def test_budget_below_population_rejected(self):
         with pytest.raises(ValueError, match="budget"):
@@ -64,31 +61,31 @@ class TestInit:
 
 class TestPsoStep:
     def test_pure_inertia_moves_by_velocity(self):
-        swarm = Swarm(flat_objective(3), 5, 1000, seed=8, subgroup_count=1)
+        swarm = Swarm(flat_objective(3), 5, 1000, seed=8)
         swarm.velocities[:] = 0.5  # small, so no clamping triggers
         before = swarm.positions.copy()
         swarm.pso_step(const_coeffs(1.0, 0.0, 0.0))
         assert np.array_equal(swarm.positions, before + 0.5)
 
     def test_particle_at_gbest_gets_zero_velocity(self):
-        swarm = Swarm(flat_objective(2), 5, 1000, seed=2, subgroup_count=1)
+        swarm = Swarm(flat_objective(2), 5, 1000, seed=2)
         # particle 0 is stepped first, before anything can move gbest
         swarm.positions[0] = swarm.gbest_pos.copy()
         swarm.pso_step(const_coeffs(0.0, 0.0, 2.0))
         assert np.array_equal(swarm.velocities[0], np.zeros(2))
 
     def test_wrong_group_count_rejected(self):
-        swarm = Swarm(flat_objective(2), 10, 1000, seed=2, subgroup_count=5)
+        swarm = Swarm(flat_objective(2), 10, 1000, seed=2)
         with pytest.raises(ValueError, match="coefficient sets"):
             swarm.pso_step(const_coeffs(0.5, 1.0, 1.0, groups=3))
 
     def test_budget_exhausted_raises(self):
-        swarm = Swarm(flat_objective(2), 5, 5, seed=2, subgroup_count=1)
+        swarm = Swarm(flat_objective(2), 5, 5, seed=2)
         with pytest.raises(BudgetExhaustedError):
             swarm.pso_step(const_coeffs(0.5, 1.0, 1.0))
 
     def test_partial_iteration_stops_at_budget(self):
-        swarm = Swarm(flat_objective(2), 5, 8, seed=2, subgroup_count=1)
+        swarm = Swarm(flat_objective(2), 5, 8, seed=2)
         before = swarm.positions.copy()
         swarm.pso_step(const_coeffs(0.5, 1.0, 1.0))
         assert swarm.eval_count == 8
@@ -96,14 +93,15 @@ class TestPsoStep:
         assert np.array_equal(swarm.positions[3:], before[3:])
 
     def test_matches_hand_simulated_oracle(self):
-        """2 particles on a 1-D centered sphere, 3 iterations, bit-exact."""
+        """5 particles on a 1-D centered sphere, 3 iterations, bit-exact."""
         obj = flat_objective(1)
         seed, w, c1, c2 = 123, 0.9, 2.0, 2.0
-        swarm = Swarm(obj, 2, 1000, seed=seed, subgroup_count=1)
+        n = 5
+        swarm = Swarm(obj, n, 1000, seed=seed)
 
         rng = np.random.default_rng(seed)
-        pos = rng.uniform(obj.lower, obj.upper, (2, 1))
-        vel = rng.uniform(-swarm.v_max, swarm.v_max, (2, 1))
+        pos = rng.uniform(obj.lower, obj.upper, (n, 1))
+        vel = rng.uniform(-swarm.v_max, swarm.v_max, (n, 1))
         fits = np.array([obj.evaluate(p) for p in pos])
         pbest_pos = pos.copy()
         pbest_fit = fits.copy()
@@ -115,7 +113,7 @@ class TestPsoStep:
         assert np.array_equal(swarm.velocities, vel)
 
         for _ in range(3):
-            for i in range(2):
+            for i in range(n):
                 x = pos[i]
                 r1 = rng.random(1)
                 r2 = rng.random(1)
@@ -168,7 +166,7 @@ def _oracle_assign(rng, n, dim, i, pbest_fit):
 
 class TestClpsoStep:
     def test_all_own_exemplar_and_matching_pbest_gives_pure_inertia(self):
-        swarm = Swarm(flat_objective(2), 5, 1000, seed=4, subgroup_count=1,
+        swarm = Swarm(flat_objective(2), 5, 1000, seed=4,
                       variant="clpso")
         swarm.exemplar[:] = np.arange(5)[:, None]
         # keep everything interior so the bound clamp cannot zero velocities
@@ -179,7 +177,7 @@ class TestClpsoStep:
         assert np.array_equal(swarm.velocities, np.full((5, 2), 0.25))
 
     def test_zero_learning_coefficient_is_pure_inertia(self):
-        swarm = Swarm(flat_objective(3), 5, 1000, seed=6, subgroup_count=1,
+        swarm = Swarm(flat_objective(3), 5, 1000, seed=6,
                       variant="clpso")
         swarm.positions[:] = np.clip(swarm.positions, -90.0, 90.0)
         swarm.velocities[:] = -0.5
@@ -187,12 +185,12 @@ class TestClpsoStep:
         assert np.array_equal(swarm.velocities, np.full((5, 3), 0.7 * -0.5))
 
     def test_matches_hand_simulated_oracle(self):
-        """3 particles, 2-D centered sphere, 2 iterations.  No stall count
+        """5 particles, 2-D centered sphere, 2 iterations.  No stall count
         passes 2, so no reassignment happens with any refreshing gap >= 2."""
         obj = flat_objective(2)
         seed, w, c, m = 321, 0.6, 1.5, 7
-        n, dim = 3, 2
-        swarm = Swarm(obj, n, 1000, seed=seed, subgroup_count=1, variant="clpso")
+        n, dim = 5, 2
+        swarm = Swarm(obj, n, 1000, seed=seed, variant="clpso")
 
         rng, exemplar_rng = np.random.default_rng(seed), _exemplar_rng(seed)
         pos = rng.uniform(obj.lower, obj.upper, (n, dim))
@@ -244,7 +242,7 @@ class TestClpsoStep:
 
 class TestRlpsoStep:
     def _frozen_swarm(self, stall_value, seed=11):
-        swarm = Swarm(flat_objective(2), 5, 1000, seed=seed, subgroup_count=1,
+        swarm = Swarm(flat_objective(2), 5, 1000, seed=seed,
                       variant="rlpso")
         swarm.velocities[:] = 0.0
         swarm.stall[:] = stall_value
@@ -271,7 +269,7 @@ class TestRlpsoStep:
         assert np.array_equal(swarm.velocities, np.zeros_like(swarm.velocities))
 
     def test_velocity_combines_all_three_attractors(self):
-        swarm = Swarm(flat_objective(2), 5, 1000, seed=13, subgroup_count=1,
+        swarm = Swarm(flat_objective(2), 5, 1000, seed=13,
                       variant="rlpso")
         swarm.velocities[:] = 0.0
         swarm.stall[:] = 0
@@ -297,7 +295,7 @@ class _Oracle:
 
     def __init__(self, swarm):
         self.obj = swarm.objective
-        self.n, self.dim, self.groups = swarm.n, swarm.dim, swarm.subgroup_count
+        self.n, self.dim = swarm.n, swarm.dim
         self.budget, self.v_max = swarm.eval_budget, swarm.v_max
         self.evals = swarm.eval_count
         self.last_improve_eval = swarm.last_improve_eval
@@ -319,7 +317,7 @@ class _Oracle:
         self.cut_short = False
 
     def _group(self, i):
-        return min(i // (self.n // self.groups), self.groups - 1)
+        return min(i // (self.n // SUBGROUPS), SUBGROUPS - 1)
 
     def _target(self, i):
         return self.pbest_pos[self.exemplar[i], np.arange(self.dim)]
@@ -426,7 +424,7 @@ class TestDrawOrderOracle:
     def _swarm(self, variant, seed, stale_gbest=False):
         budget = self.N * self.STEPS + self.TAIL
         swarm = Swarm(make_objective("rastrigin_rot", self.DIM, seed), self.N, budget,
-                      seed=seed, variant=variant, subgroup_count=5)
+                      seed=seed, variant=variant)
         # every other particle sits near a wall, flying outwards at full speed
         side = np.where(swarm.positions[::2] < 0.0, -1.0, 1.0)
         swarm.positions[::2] = 97.0 * side
@@ -592,8 +590,7 @@ class TestSchedules:
         assert schedule(swarm, 8, 8) is table
         assert np.array_equal(table, np.full((5, 5), CONSTANT_COEFFS))
         drive(swarm, schedule)  # a step writing into its table would raise
-        pair = Swarm(make_objective("sphere", 3, 1), 10, 100, seed=1, subgroup_count=2)
-        assert schedule(pair, 0, 8).shape == (2, 5)
+        assert Schedule("constant", "other")(swarm, 0, 8) is table
         with pytest.raises(ValueError, match="outside"):
             schedule(swarm, 9, 8)
 
@@ -670,7 +667,7 @@ class TestLearningProbability:
         assert learning_probability(1, 2) == 0.5
 
     def test_forced_high_draw_keeps_own_dimensions(self):
-        swarm = Swarm(flat_objective(4), 5, 1000, seed=1, subgroup_count=1,
+        swarm = Swarm(flat_objective(4), 5, 1000, seed=1,
                       variant="clpso")
         swarm.pbest_fit = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
         # u0 >= Pc for every dimension: the all-own fallback makes the
@@ -681,7 +678,7 @@ class TestLearningProbability:
         assert list(row) == [2, 2, 0, 2]
 
     def test_forced_low_draw_always_tournaments(self):
-        swarm = Swarm(flat_objective(2), 5, 1000, seed=1, subgroup_count=1,
+        swarm = Swarm(flat_objective(2), 5, 1000, seed=1,
                       variant="clpso")
         swarm.pbest_fit = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
         swarm.exemplar_rng = ScriptedRng(randoms=[0.0, 0.0] + [0.0, 0.9] + [0.0, 0.0])
@@ -694,7 +691,7 @@ class TestSwarmInvariants:
     @pytest.mark.parametrize("variant", ["pso", "clpso", "rlpso"])
     def test_monotone_elitism_and_bounds(self, variant, rng):
         obj = make_objective("rastrigin", 4, 10)
-        swarm = Swarm(obj, 10, 2000, seed=14, variant=variant, subgroup_count=5)
+        swarm = Swarm(obj, 10, 2000, seed=14, variant=variant)
         best = swarm.gbest_fit
         while swarm.eval_count < swarm.eval_budget:
             w, c1, c2 = rng.uniform(0.1, 0.9), rng.uniform(0, 3), rng.uniform(0, 3)
@@ -714,18 +711,20 @@ class TestSwarmInvariants:
         assert swarm.gbest_fit == swarm.pbest_fit.min()
 
     def test_budget_honesty_counts_every_evaluation(self):
-        obj = CountingObjective(make_objective("sphere", 3, 11))
-        swarm = Swarm(obj, 8, 100, seed=15, subgroup_count=1)
-        while swarm.eval_count < swarm.eval_budget:
-            swarm.pso_step(const_coeffs(0.7, 1.5, 1.5))
-        assert swarm.eval_count == 100
-        assert obj.calls == 100
-        with pytest.raises(BudgetExhaustedError):
-            swarm.pso_step(const_coeffs(0.7, 1.5, 1.5))
+        coeffs = const_coeffs(0.7, 1.5, 1.5, c3=1.0, c4=1.0)
+        for variant in ("pso", "clpso", "rlpso"):
+            obj = CountingObjective(make_objective("sphere", 3, 11))
+            swarm = Swarm(obj, 8, 100, seed=15, variant=variant)
+            while swarm.eval_count < swarm.eval_budget:
+                swarm.step(coeffs)
+            assert swarm.eval_count == 100
+            assert obj.calls == 100
+            with pytest.raises(BudgetExhaustedError):
+                swarm.step(coeffs)
 
     def test_pbest_consistent_with_positions(self):
         obj = make_objective("griewank", 3, 12)
-        swarm = Swarm(obj, 8, 400, seed=16, subgroup_count=1)
+        swarm = Swarm(obj, 8, 400, seed=16)
         for _ in range(5):
             swarm.pso_step(const_coeffs(0.7, 1.5, 1.5))
         for i in range(swarm.n):
@@ -735,7 +734,7 @@ class TestSwarmInvariants:
         obj = make_objective("ackley", 3, 13)
         runs = []
         for _ in range(2):
-            swarm = Swarm(obj, 8, 400, seed=17, subgroup_count=1)
+            swarm = Swarm(obj, 8, 400, seed=17)
             trace = [swarm.gbest_fit]
             for t in range(10):
                 swarm.pso_step(const_coeffs(0.9 - 0.05 * t, 1.2, 1.8))
@@ -745,7 +744,7 @@ class TestSwarmInvariants:
         assert np.array_equal(runs[0][1], runs[1][1])
 
     def test_degenerate_coefficients_freeze_positions(self):
-        swarm = Swarm(flat_objective(3), 6, 1000, seed=18, subgroup_count=1)
+        swarm = Swarm(flat_objective(3), 6, 1000, seed=18)
         swarm.pso_step(const_coeffs(0.0, 0.0, 0.0))
         assert np.array_equal(swarm.velocities, np.zeros_like(swarm.velocities))
         frozen = swarm.positions.copy()
