@@ -14,7 +14,7 @@ from . import ddpg, harness
 from .benchmarks import FUNCTIONS, make_objective
 from .ddpg import DdpgAgent, action_width
 from .harness import ALGORITHMS, ConfigError
-from .swarm import Schedule, Swarm, drive
+from .swarm import Swarm, drive
 
 
 class _UsageError(Exception):
@@ -124,9 +124,9 @@ def _cmd_bench() -> int:
     obj = make_objective("sphere", 2, seed=5)
     passed = True
     rlpso_agent = DdpgAgent(action_width("rlpso"), seed=12)
-    for variant, controller in (("pso", Schedule("constant", "none")),
-                                ("clpso", Schedule("clpso", "linear_dec_w")),
-                                ("rlpso", ddpg.PolicyController(rlpso_agent, "absolute", "rlpso"))):
+    for variant, controller in (harness._ALGORITHM_TABLE[a] for a in ("pso", "clpso", "rlpso")):
+        if isinstance(controller, str):  # rlpso: the table names its policy's mode
+            controller = ddpg.PolicyController(rlpso_agent, controller, variant)
         swarm = Swarm(obj, 10, 400, seed=3, variant=variant)
         curve = drive(swarm, controller).curve
         fits = [fit for _, fit in curve]

@@ -155,10 +155,9 @@ class DdpgAgent:
             a = a + self.noise_rng.normal(0.0, self.noise_sigma, self.action_dim)
         return np.clip(a, -1.0, 1.0)
 
-    def soft_update_targets(self, tau: float | None = None) -> None:
-        t = self.tau if tau is None else tau
+    def soft_update_targets(self) -> None:
         for target, source in ((self.actor_target, self.actor), (self.critic_target, self.critic)):
-            soft_update(target, source, t, self._scratch[: source.params.size])
+            soft_update(target, source, self.tau, self._scratch[: source.params.size])
 
     def train_step(self) -> tuple[float, float]:
         """One critic regression step, one actor ascent step, one soft update.
@@ -332,7 +331,7 @@ def train(agent: DdpgAgent, pool, episodes: int, mode: str, variant: str, dim: i
     policy that actually optimizes.  Pass ``validate_every=0`` to keep the
     final-episode policy unconditionally.
 
-    Every pool name is checked before the first episode.
+    Every pool name and the actor's widths are checked before the first episode.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
@@ -345,9 +344,7 @@ def train(agent: DdpgAgent, pool, episodes: int, mode: str, variant: str, dim: i
     for fn_id in pool:
         if fn_id not in FUNCTIONS:
             raise ValueError(f"unknown function {fn_id!r} in training pool")
-    if agent.action_dim != action_width(variant):
-        raise ValueError(f"agent emits {agent.action_dim} values but variant {variant!r} "
-                         f"needs {action_width(variant)}")
+    check_model(agent, {}, mode, variant, f"variant {variant!r}")
     ep_rng = np.random.default_rng(seed)
     log: list[EpisodeRecord] = []
     best_score = math.inf
@@ -393,7 +390,6 @@ class ActorPolicy:
 
     def __init__(self, actor: Mlp):
         self.actor = actor
-        self.action_dim = actor.layer_dims[-1]
 
     def act(self, encoded_state, explore: bool = False) -> np.ndarray:
         if explore:
@@ -424,12 +420,15 @@ def save_model(actor: Mlp, path, *, mode: str, variant: str, pool, episodes: int
 
 def check_model(policy, meta: dict, mode: str, variant: str, user: str) -> None:
     """Refuse a model that cannot drive ``variant`` in ``mode``: its actor's
-    output width, then the sidecar keys ``save_model`` writes.  Keys that
-    ``meta`` lacks (an in-memory model) are not checked; ``user`` names what
-    needs the model in the error."""
+    input and output widths, then the sidecar keys ``save_model`` writes.
+    Keys that ``meta`` lacks (an in-memory model) are not checked; ``user``
+    names what needs the model in the error."""
     expected = action_width(variant)
-    if policy.action_dim != expected:
-        raise ValueError(f"model emits {policy.action_dim} action values, {user} needs {expected}")
+    reads, emits = policy.actor.layer_dims[0], policy.actor.layer_dims[-1]
+    if reads != STATE_WIDTH:
+        raise ValueError(f"model reads {reads} state values, {user} needs {STATE_WIDTH}")
+    if emits != expected:
+        raise ValueError(f"model emits {emits} action values, {user} needs {expected}")
     for key, wanted in (("mode", mode), ("variant", variant), ("subgroups", SUBGROUPS),
                         ("state_width", STATE_WIDTH), ("action_width", expected)):
         declared = meta.get(key)

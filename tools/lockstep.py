@@ -1,4 +1,4 @@
-"""Lockstep A/B timer for the swarm steps of two trees of this repository.
+"""Lockstep A/B timer for the per-layer units of two trees of this repository.
 
 Usage, from anywhere inside the repository:
 
@@ -6,19 +6,27 @@ Usage, from anywhere inside the repository:
 
 The script extracts ``src/rlapso`` of PARENT_REF with ``git archive`` into
 a temporary directory and imports it as ``rlapso_ref``, next to this working
-tree's ``rlapso``.  For each case (``pso_step``, ``clpso_step`` and
-``rlpso_step``; 40 particles at 10-D on rastrigin and on sphere) it builds
-one swarm per tree from the same seed and steps both with the same
-coefficient table: 20 warm-up steps, then 40 blocks of 10 steps, with the
-tree that goes first alternating from block to block.  After each block the
-two swarms' positions must be equal, or the script stops with an error.
+tree's ``rlapso``.  Each case builds one instance of its unit per tree from
+the same seed and drives both on identical inputs: 2 warm-up blocks, then 40
+blocks of 10 calls, with the tree that goes first alternating from block to
+block.  After each block the two sides' states must be equal, or the script
+stops with an error.  The cases:
 
-It prints, per case, each side's median microseconds per particle over the
-blocks (evaluation included) and the number of blocks each side was faster
-in.  Both trees run in one process on one trajectory, so a change in host
-speed that lasts longer than a block slows both sides alike.  End-to-end
-claims belong to ``perfbench``; this covers the per-layer ones it cannot
-resolve.
+* ``pso_step``, ``clpso_step`` and ``rlpso_step``, 40 particles at 10-D on
+  rastrigin and on sphere, stepped with one coefficient table; the swarms'
+  positions must agree.
+* The ``PolicyController`` call of an untrained pso actor, absolute and
+  relative mode, on a 40 x 10-D rastrigin swarm that each side steps with
+  the table its controller returned.  Only the controller call is timed; the
+  tables and the positions must agree.
+* ``DdpgAgent.train_step`` of two agents seeded alike, whose buffers hold
+  the same 2000 transitions; every network's ``params`` must agree.
+
+It prints, per case, each side's median time per unit over the blocks and
+the number of blocks each side was faster in.  Both trees run in one process
+on one trajectory, so a change in host speed that lasts longer than a block
+slows both sides alike.  End-to-end claims belong to ``perfbench``; this
+covers the per-layer ones it cannot resolve.
 """
 import os
 
@@ -41,11 +49,11 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 N, DIM, SEED = 40, 10, 6
-WARMUP, BLOCKS, BLOCK_STEPS = 20, 40, 10
-VARIANTS = ("pso", "clpso", "rlpso")
-FUNCTIONS = ("rastrigin", "sphere")
+WARMUP_BLOCKS, BLOCKS, BLOCK_CALLS = 2, 40, 10
+TRANSITIONS = 2000
 # w, c1, c2, c3, c4 for every subgroup; c4 > 0 lets RLPSO mutate
 ROW = (0.729, 1.494, 1.494, 1.0, 1.0)
+BUDGET = N * (1 + (WARMUP_BLOCKS + BLOCKS) * BLOCK_CALLS)
 
 
 def import_ref(ref: str, into: str):
@@ -63,29 +71,88 @@ def import_ref(ref: str, into: str):
     return importlib.import_module("rlapso_ref")
 
 
-def run_case(packages, variant: str, function: str):
-    """Step one swarm per package in lockstep; returns each side's block
-    times in microseconds per particle step."""
-    budget = N * (1 + WARMUP + BLOCKS * BLOCK_STEPS)
-    table = np.array([ROW] * 5)
-    swarms = [pkg.Swarm(pkg.make_objective(function, DIM, SEED), N, budget, SEED,
-                        variant=variant) for pkg in packages]
-    steps = [getattr(swarm, f"{variant}_step") for swarm in swarms]
-    for _ in range(WARMUP):
-        for step in steps:
+# Each case builder takes one tree's package and returns (block, state):
+# ``block()`` makes BLOCK_CALLS calls of the unit and returns the seconds
+# they took; ``state()`` is what must agree between the trees afterwards.
+
+def swarm_step(pkg, variant: str, function: str):
+    swarm = pkg.Swarm(pkg.make_objective(function, DIM, SEED), N, BUDGET, SEED,
+                      variant=variant)
+    step, table = getattr(swarm, f"{variant}_step"), np.array([ROW] * 5)
+
+    def block():
+        start = time.perf_counter()
+        for _ in range(BLOCK_CALLS):
             step(table)
-    times = [[], []]
-    for block in range(BLOCKS):
-        order = (0, 1) if block % 2 == 0 else (1, 0)
-        for side in order:
-            step = steps[side]
+        return time.perf_counter() - start
+
+    return block, lambda: [swarm.positions]
+
+
+def policy_call(pkg, mode: str):
+    ddpg = importlib.import_module(f"{pkg.__name__}.ddpg")
+    swarm = pkg.Swarm(pkg.make_objective("rastrigin", DIM, SEED), N, BUDGET, SEED)
+    agent = ddpg.DdpgAgent(ddpg.action_width("pso"), seed=SEED)
+    controller = ddpg.PolicyController(agent, mode, "pso")
+    t_max = (WARMUP_BLOCKS + BLOCKS) * BLOCK_CALLS
+    calls = iter(range(t_max))
+    last = [None]
+
+    def block():
+        spent = 0.0
+        for _ in range(BLOCK_CALLS):
+            t = next(calls)
             start = time.perf_counter()
-            for _ in range(BLOCK_STEPS):
-                step(table)
-            times[side].append((time.perf_counter() - start) / (BLOCK_STEPS * N) * 1e6)
-        if not np.array_equal(swarms[0].positions, swarms[1].positions):
-            raise AssertionError(f"{variant}_step on {function}: positions differ after "
-                                 f"block {block}")
+            last[0] = controller(swarm, t, t_max)
+            spent += time.perf_counter() - start
+            swarm.pso_step(last[0])
+        return spent
+
+    return block, lambda: [last[0], swarm.positions]
+
+
+def train_step(pkg):
+    ddpg = importlib.import_module(f"{pkg.__name__}.ddpg")
+    agent = ddpg.DdpgAgent(ddpg.action_width("pso"), seed=SEED)
+    rng, width = np.random.default_rng(SEED), ddpg.STATE_WIDTH
+    for _ in range(TRANSITIONS):
+        agent.buffer.push(rng.uniform(-1, 1, width), rng.uniform(-1, 1, agent.action_dim),
+                          float(rng.choice((-1.0, 1.0))), rng.uniform(-1, 1, width))
+
+    def block():
+        start = time.perf_counter()
+        for _ in range(BLOCK_CALLS):
+            agent.train_step()
+        return time.perf_counter() - start
+
+    nets = (agent.actor, agent.critic, agent.actor_target, agent.critic_target)
+    return block, lambda: [net.params for net in nets]
+
+
+# (label, builder, arguments, per-call scale, unit)
+CASES = [(f"{variant}_step {function}", swarm_step, (variant, function), 1e6 / N,
+          "us/particle")
+         for variant in ("pso", "clpso", "rlpso") for function in ("rastrigin", "sphere")]
+CASES += [(f"policy call {mode}", policy_call, (mode,), 1e6, "us/call")
+          for mode in ("absolute", "relative")]
+CASES += [("train_step", train_step, (), 1e3, "ms/call")]
+
+
+def run_case(packages, builder, args):
+    """Drive one unit per package in lockstep; returns each side's block
+    times in seconds per call."""
+    sides = [builder(pkg, *args) for pkg in packages]
+    for _ in range(WARMUP_BLOCKS):
+        for block, _ in sides:
+            block()
+    times = [[], []]
+    for n in range(BLOCKS):
+        for side in ((0, 1) if n % 2 == 0 else (1, 0)):
+            times[side].append(sides[side][0]() / BLOCK_CALLS)
+        for a, b in zip(sides[0][1](), sides[1][1]()):
+            if not np.array_equal(a, b):
+                raise AssertionError(f"{builder.__name__}{args}: the trees differ after "
+                                     f"block {n}")
     return times
 
 
@@ -99,16 +166,16 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         ref = import_ref(args.parent_ref, tmp)
         print(f"lockstep: {args.parent_ref} (ref) against the working tree (this); "
-              f"{N} particles x {DIM}-D, {WARMUP} warm-up steps, {BLOCKS} alternating "
-              f"blocks of {BLOCK_STEPS} steps; median us per particle step")
-        for variant in VARIANTS:
-            for function in FUNCTIONS:
-                ref_t, this_t = run_case((ref, rlapso), variant, function)
-                ref_med, this_med = statistics.median(ref_t), statistics.median(this_t)
-                this_won = sum(b < a for a, b in zip(ref_t, this_t))
-                print(f"{variant + '_step':<11} {function:<9}  ref {ref_med:7.2f}  "
-                      f"this {this_med:7.2f}  ({(this_med / ref_med - 1) * 100:+5.1f} %)  "
-                      f"faster blocks: ref {BLOCKS - this_won}, this {this_won}")
+              f"{WARMUP_BLOCKS} warm-up blocks, {BLOCKS} alternating blocks of "
+              f"{BLOCK_CALLS} calls; median time per unit")
+        for label, builder, case_args, scale, unit in CASES:
+            ref_t, this_t = run_case((ref, rlapso), builder, case_args)
+            ref_med = statistics.median(ref_t) * scale
+            this_med = statistics.median(this_t) * scale
+            this_won = sum(b < a for a, b in zip(ref_t, this_t))
+            print(f"{label:<20} ref {ref_med:7.2f}  this {this_med:7.2f} {unit:<11} "
+                  f"({(this_med / ref_med - 1) * 100:+5.1f} %)  "
+                  f"faster blocks: ref {BLOCKS - this_won}, this {this_won}")
     return 0
 
 
