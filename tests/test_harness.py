@@ -391,8 +391,9 @@ class TestModelContract:
         save_model(actor, path, mode="absolute", variant="pso", pool=["sphere"],
                    episodes=1, seed=6)
         sidecar = tmp_path / ("wide.bin" + MODEL_META_SUFFIX)
-        lines = sidecar.read_text().splitlines(keepends=True)
-        sidecar.write_text("".join(l for l in lines if not l.startswith("state_width=")))
+        text = sidecar.read_text()
+        assert "state_width=16\n" in text
+        sidecar.write_text(text.replace("state_width=16\n", ""))
         cfg = tiny_config(tmp_path, algorithms=["pso", "rlam-absolute"], model=str(path))
         with pytest.raises(ValueError, match="model reads 16 state values, rlam-absolute needs 15"):
             run_experiment(cfg)
