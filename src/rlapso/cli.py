@@ -13,7 +13,7 @@ import numpy as np
 from . import ddpg, harness
 from .benchmarks import FUNCTIONS, make_objective
 from .ddpg import DdpgAgent, action_width
-from .harness import ALGORITHMS, ConfigError
+from .harness import ALGORITHMS
 from .swarm import Swarm, drive
 
 
@@ -39,7 +39,7 @@ def _build_parser() -> _Parser:
 
     train = sub.add_parser("train",
                            help="train an adaptation agent and save the actor model")
-    train.add_argument("--variant", choices=("pso", "rlpso"), default="pso")
+    train.add_argument("--variant", choices=tuple(ddpg.GROUP_WIDTH), default="pso")
     train.add_argument("--mode", choices=("absolute", "relative"), default="absolute")
     train.add_argument("--functions", default=",".join(ddpg.DEFAULT_POOL),
                        help="comma-separated training pool")
@@ -168,6 +168,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
+        if args.command in ("train", "run") and not Path(args.out).parent.is_dir():
+            raise FileNotFoundError(f"output directory not found: {Path(args.out).parent}")
         if args.command == "train":
             return _cmd_train(args)
         if args.command == "run":
@@ -175,7 +177,7 @@ def main(argv=None) -> int:
         if args.command == "compare":
             return _cmd_compare(args)
         return _cmd_bench()
-    except (OSError, ValueError, ConfigError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

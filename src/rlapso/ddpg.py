@@ -73,18 +73,17 @@ def reward(prev_gbest: float, new_gbest: float) -> float:
 class ReplayBuffer:
     """Fixed-capacity ring of transitions with seeded uniform batch sampling.
 
-    Transitions are rows of one preallocated float64 ring, laid out as
-    state | action | reward | next state and sized on the first push.  Rows
-    fill from the front and are only written when reached, so the unused
-    capacity stays out of resident memory.
+    Each transition part (state, action, reward, next state) has its own
+    preallocated float64 array, one row per transition, shaped on the first
+    push.  Rows fill from the front and are only written when reached, so
+    the unused capacity stays out of resident memory.
     """
 
     def __init__(self, capacity: int, seed: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._ring = None
-        self._fields = None  # column slice (or index) of each transition part
+        self._parts = None  # state, action, reward and next-state arrays
         self._size = 0
         self._cursor = 0
         self.rng = np.random.default_rng(seed)
@@ -93,22 +92,20 @@ class ReplayBuffer:
         return self._size
 
     def push(self, state, action, rew, next_state) -> None:
-        if self._ring is None:
-            s, a = np.size(state), np.size(action)
-            self._fields = (slice(0, s), slice(s, s + a), s + a, slice(s + a + 1, 2 * s + a + 1))
-            self._ring = np.empty((self.capacity, 2 * s + a + 1))
-        row = self._ring[self._cursor]
-        for field, value in zip(self._fields, (state, action, rew, next_state)):
-            row[field] = value
+        parts = (state, action, rew, next_state)
+        if self._parts is None:
+            self._parts = tuple(np.empty((self.capacity, *np.shape(p))) for p in parts)
+        for store, value in zip(self._parts, parts):
+            store[self._cursor] = value
         self._size = min(self._size + 1, self.capacity)
         self._cursor = (self._cursor + 1) % self.capacity
 
     def sample(self, batch_size: int):
         """Uniform without replacement within the batch; returns stacked arrays."""
         if batch_size > self._size:
-            raise ValueError(f"asked for {batch_size} transitions, buffer holds {self._size}")
+            raise ValueError(f"buffer holds {self._size} transitions, need {batch_size}")
         idx = self.rng.choice(self._size, size=batch_size, replace=False)
-        return tuple(self._ring[idx, field] for field in self._fields)
+        return tuple(store[idx] for store in self._parts)
 
 
 class DdpgAgent:
@@ -164,10 +161,6 @@ class DdpgAgent:
 
         Returns (batch critic loss, batch mean critic value) for diagnostics.
         """
-        if len(self.buffer) < self.batch_size:
-            raise ValueError(
-                f"buffer holds {len(self.buffer)} transitions, need {self.batch_size}"
-            )
         states, actions, rewards, next_states = self.buffer.sample(self.batch_size)
         b = self.batch_size
         tapes = self._tapes

@@ -8,7 +8,7 @@ normal approximation with continuity correction above).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -261,12 +261,9 @@ class ComparisonSummary:
     rows: list = field(default_factory=list)
 
     def csv_lines(self):
-        yield "function,algorithm,median,mean,std,improvement_pct,wins,losses,p_value"
+        yield ",".join(f.name for f in fields(SummaryRow))
         for r in self.rows:
-            yield (
-                f"{r.function},{r.algorithm},{_fmt(r.median)},{_fmt(r.mean)},{_fmt(r.std)},"
-                f"{_fmt(r.improvement_pct)},{r.wins},{r.losses},{_fmt(r.p_value)}"
-            )
+            yield ",".join(_fmt(v) if isinstance(v, float) else str(v) for v in astuple(r))
 
 
 def _wilcoxon_p(x, y) -> float:

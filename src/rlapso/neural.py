@@ -33,7 +33,7 @@ _ACTIVATION_TAGS = {"tanh": 0, "identity": 1}
 _TAG_ACTIVATIONS = {v: k for k, v in _ACTIVATION_TAGS.items()}
 
 
-class WeightsError(Exception):
+class WeightsError(ValueError):
     """Base class for weight-file problems."""
 
 

@@ -36,18 +36,12 @@ class CountingObjective:
 class ScriptedRng:
     """Replays pre-chosen draws so threshold branches can be forced."""
 
-    def __init__(self, randoms=(), uniforms=()):
+    def __init__(self, randoms):
         self._randoms = list(randoms)
-        self._uniforms = list(uniforms)
 
-    def random(self, size=None):
-        if size is None:
-            return self._randoms.pop(0)
+    def random(self, size):
         values = [self._randoms.pop(0) for _ in range(int(np.prod(size)))]
         return np.array(values).reshape(size)
-
-    def uniform(self, low, high, size=None):
-        return np.array(self._uniforms.pop(0))
 
 
 @pytest.fixture

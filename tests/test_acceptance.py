@@ -220,6 +220,7 @@ def test_criterion_5_pso_competence():
         assert time.time() - start < 30.0
 
 
+@pytest.mark.slow
 def test_criterion_6_rlam_directional_benefit(trained_pso_agent):
     """The paper's central claim at desk scale: greedy adapted PSO beats
     constant-coefficient PSO on >= 2 of 3 functions with pooled Wilcoxon
@@ -252,6 +253,7 @@ def test_criterion_6_rlam_directional_benefit(trained_pso_agent):
         assert trained_pso_agent.train_minutes * 60 + (time.time() - start) < 900
 
 
+@pytest.mark.slow
 def test_criterion_7_rlpso_sanity(trained_rlpso_agent):
     """Trained RLPSO beats baseline PSO's median on 10-D rastrigin, and the
     mutation rule passes its forced-threshold unit checks."""

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import rlapso
+from rlapso import ddpg, harness
 from rlapso.cli import main
+from rlapso.ddpg import DdpgAgent, action_width, save_model
 from rlapso.harness import read_curve_csv
 
 
@@ -159,6 +161,59 @@ class TestTrainAndModelRuns:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "mode" in capsys.readouterr().err
+
+
+class TestCorruptModel:
+    @pytest.fixture
+    def truncated_model(self, tmp_path):
+        model = tmp_path / "m.bin"
+        save_model(DdpgAgent(action_width("pso"), seed=0).actor, model, mode="absolute",
+                   variant="pso", pool=["sphere"], episodes=1, seed=0)
+        model.write_bytes(model.read_bytes()[:-8])
+        return model
+
+    def test_run_with_truncated_model_is_runtime_error(self, tmp_path, capsys, truncated_model):
+        out = tmp_path / "x.csv"
+        code = main(["run", "--function", "sphere", "--dim", "2", "--algo", "rlam-absolute",
+                     "--model", str(truncated_model), "--budget", "400", "--particles", "8",
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_compare_with_truncated_model_is_runtime_error(self, tmp_path, capsys,
+                                                           truncated_model):
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(
+            "functions=sphere\nalgorithms=pso,rlam-absolute\n"
+            f"dim=2\nruns=3\nbudget=400\nparticles=8\nout_dir={tmp_path / 'out'}\n"
+            f"model={truncated_model}\n"
+        )
+        assert main(["compare", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
+
+class TestMissingOutDirectory:
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the output directory was checked")
+        monkeypatch.setattr(ddpg, "train", fail)
+        monkeypatch.setattr(harness, "run_single", fail)
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--functions", "sphere", "--dim", "2", "--episodes", "1"],
+        ["run", "--function", "sphere", "--dim", "2", "--algo", "pso"],
+    ])
+    def test_missing_directory_is_refused_before_any_work(self, tmp_path, capsys, argv):
+        missing = tmp_path / "missing_dir"
+        code = main([*argv, "--out", str(missing / "out.bin")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(missing) in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBench:
