@@ -219,17 +219,9 @@ def make_objective(function_id: str, dim: int, seed: int) -> Objective:
         raise ValueError(f"dim must be >= 2, got {dim}")
     spec = FUNCTIONS[function_id]
     rng = np.random.default_rng(seed)
-    shift = rng.uniform(LOWER + SHIFT_MARGIN, UPPER - SHIFT_MARGIN, dim)
-    if function_id == "composition":
-        rotation = _gram_schmidt_rotation(rng, dim)
-        extra_shifts = []
-        extra_rotations = []
-        for _ in range(len(_COMPOSITION_PARTS) - 1):
-            extra_shifts.append(rng.uniform(LOWER + SHIFT_MARGIN, UPPER - SHIFT_MARGIN, dim))
-            extra_rotations.append(_gram_schmidt_rotation(rng, dim))
-        return Objective(
-            function_id, dim, LOWER, UPPER, shift, rotation, spec.bias, seed,
-            tuple(extra_shifts), tuple(extra_rotations),
-        )
-    rotation = _gram_schmidt_rotation(rng, dim) if spec.rotated else np.eye(dim)
-    return Objective(function_id, dim, LOWER, UPPER, shift, rotation, spec.bias, seed)
+    shifts, rotations = [], []
+    for _ in range(len(_COMPOSITION_PARTS) if function_id == "composition" else 1):
+        shifts.append(rng.uniform(LOWER + SHIFT_MARGIN, UPPER - SHIFT_MARGIN, dim))
+        rotations.append(_gram_schmidt_rotation(rng, dim) if spec.rotated else np.eye(dim))
+    return Objective(function_id, dim, LOWER, UPPER, shifts[0], rotations[0], spec.bias, seed,
+                     tuple(shifts[1:]), tuple(rotations[1:]))

@@ -168,8 +168,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        if args.command in ("train", "run") and not Path(args.out).parent.is_dir():
-            raise FileNotFoundError(f"output directory not found: {Path(args.out).parent}")
+        if args.command in ("train", "run"):
+            out = Path(args.out)
+            if not out.parent.is_dir():
+                raise FileNotFoundError(f"output directory not found: {out.parent}")
+            if out.is_dir():
+                raise IsADirectoryError(f"--out is a directory, not a file path: {out}")
         if args.command == "train":
             return _cmd_train(args)
         if args.command == "run":

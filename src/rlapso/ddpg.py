@@ -233,8 +233,7 @@ def action_width(variant: str) -> int:
 class PolicyController:
     """Swarm controller: observe -> encode -> act -> map once per iteration,
     relative mode perturbing the constant schedule.  ``state`` and ``action``
-    are what it last saw and chose; after ``read_state`` the next call of the
-    same run (t > 0) acts on that state without observing again."""
+    are what the current call saw and chose."""
 
     def __init__(self, policy, mode: str, variant: str, explore: bool = False):
         self.policy = policy
@@ -243,16 +242,9 @@ class PolicyController:
         self.explore = explore
         self.adapter = f"rlam-{mode}"
         self.state = self.action = None
-        self._read_at = None  # the eval_count ``state`` was read at
-
-    def read_state(self, swarm: Swarm) -> np.ndarray:
-        self.state = encode(observe(swarm))
-        self._read_at = swarm.eval_count
-        return self.state
 
     def __call__(self, swarm: Swarm, t: int, t_max: int) -> np.ndarray:
-        if t == 0 or self._read_at != swarm.eval_count:
-            self.read_state(swarm)
+        self.state = encode(observe(swarm))
         self.action = self.policy.act(self.state, explore=self.explore)
         return coefficient_sets(self.action, self.mode, self.variant)
 
@@ -293,9 +285,8 @@ def _training_episode(agent: DdpgAgent, swarm: Swarm, mode: str, variant: str) -
     losses = []
 
     def learn(swarm, prev_best):
-        state, action = controller.state, controller.action
         r = reward(prev_best, swarm.gbest_fit)
-        agent.buffer.push(state, action, r, controller.read_state(swarm))
+        agent.buffer.push(controller.state, controller.action, r, encode(observe(swarm)))
         if len(agent.buffer) >= threshold:
             losses.append(agent.train_step()[0])
 

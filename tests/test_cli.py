@@ -202,10 +202,12 @@ class TestMissingOutDirectory:
         monkeypatch.setattr(ddpg, "train", fail)
         monkeypatch.setattr(harness, "run_single", fail)
 
-    @pytest.mark.parametrize("argv", [
+    COMMANDS = [
         ["train", "--functions", "sphere", "--dim", "2", "--episodes", "1"],
         ["run", "--function", "sphere", "--dim", "2", "--algo", "pso"],
-    ])
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS)
     def test_missing_directory_is_refused_before_any_work(self, tmp_path, capsys, argv):
         missing = tmp_path / "missing_dir"
         code = main([*argv, "--out", str(missing / "out.bin")])
@@ -214,6 +216,18 @@ class TestMissingOutDirectory:
         assert err.startswith("error:")
         assert str(missing) in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_existing_directory_is_refused_before_any_work(self, tmp_path, capsys, argv):
+        out_dir = tmp_path / "models"
+        out_dir.mkdir()
+        code = main([*argv, "--out", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert str(out_dir) in err
+        assert list(tmp_path.iterdir()) == [out_dir]
+        assert list(out_dir.iterdir()) == []
 
 
 class TestBench:

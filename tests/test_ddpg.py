@@ -555,6 +555,18 @@ class TestAdaptedRun:
         assert second.curve == adapted_run(agent, obj, "pso", "absolute", 45, 2,
                                            n_particles=20).curve
 
+    def test_controller_acts_on_the_swarm_as_it_is_at_each_call(self):
+        from rlapso.benchmarks import make_objective
+
+        controller = PolicyController(DdpgAgent(20, seed=22), "absolute", "pso")
+        swarm = Swarm(make_objective("rastrigin", 3, 81), 10, 200, seed=3)
+        controller(swarm, 0, 20)
+        first = controller.state.copy()
+        swarm.positions *= 0.5  # moved without an evaluation
+        controller(swarm, 1, 20)
+        assert not np.array_equal(first, controller.state)
+        assert np.array_equal(controller.state, encode(observe(swarm)))
+
 
 class TestModelFiles:
     def test_save_load_round_trip(self, tmp_path):

@@ -1,8 +1,9 @@
 """Golden digests: SHA-256 of fixed short runs, pinned to exact bytes.
 
 The digests cover the trained networks of three short trainings (absolute
-and relative ``pso``, absolute ``rlpso``), every algorithm's curve CSV, and
-the learner's parameter trajectory step by step.  A change that is meant to
+and relative ``pso``, absolute ``rlpso``), every algorithm's curve CSV, the
+learner's parameter trajectory step by step, and every function's instances
+and values.  A change that is meant to
 be a pure speed-up or refactor must leave all of them unchanged; a change
 that moves any of them by one ulp shows here.  ``golden_digests`` is also run in fresh
 interpreters under different BLAS thread counts, which must agree.
@@ -20,6 +21,7 @@ import numpy as np
 
 import rlapso
 from rlapso import ddpg, harness
+from rlapso.benchmarks import FUNCTIONS, make_objective
 from rlapso.ddpg import ActorPolicy, DdpgAgent, action_width
 
 GOLDEN = {
@@ -28,6 +30,7 @@ GOLDEN = {
     "training_rlpso": "ca208be5252b0a2fc839b0e5c38fa16ead9b81b75d6b23401ba52b35a3c2ec14",
     "curves": "2c5635fbded2d7f127dbe6fac246dc2e6745125697c0c0ba0b616973bb67260a",
     "learner_steps": "10cacafc4941ab7d801d2fed16ff9027a052221f2687beb048da8c4513b74bee",
+    "objectives": "a6f7a65fcb4cd32578a78ab2e55d7d6876141b2be774c09fd68ffbeea5a6fe13",
 }
 
 
@@ -99,6 +102,23 @@ def _learner_steps_digest() -> str:
     return h.hexdigest()
 
 
+def _objectives_digest() -> str:
+    """Every function's instance arrays at 2, 10 and 30-D for seeds 0-2, the
+    composition's further parts included, and ``float.hex`` of its value at
+    the shift and at 20 seeded points in the box."""
+    rng = np.random.default_rng(43)
+    h = hashlib.sha256()
+    for function_id in FUNCTIONS:
+        for dim in (2, 10, 30):
+            for seed in range(3):
+                obj = make_objective(function_id, dim, seed)
+                for arr in (obj.shift, obj.rotation, *obj.extra_shifts, *obj.extra_rotations):
+                    h.update(arr.astype("<f8").tobytes())
+                for x in (obj.shift, *rng.uniform(obj.lower, obj.upper, (20, dim))):
+                    h.update(float(obj.evaluate(x)).hex().encode())
+    return h.hexdigest()
+
+
 def golden_digests() -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         curves = _curves_digest(Path(tmp))
@@ -109,6 +129,7 @@ def golden_digests() -> dict:
                                            agent_seed=7, seed=11),
         "curves": curves,
         "learner_steps": _learner_steps_digest(),
+        "objectives": _objectives_digest(),
     }
 
 
