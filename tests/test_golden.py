@@ -3,10 +3,10 @@
 The digests cover the trained networks of three short trainings (absolute
 and relative ``pso``, absolute ``rlpso``), every algorithm's curve CSV, the
 learner's parameter trajectory step by step, and every function's instances
-and values.  A change that is meant to
-be a pure speed-up or refactor must leave all of them unchanged; a change
-that moves any of them by one ulp shows here.  ``golden_digests`` is also run in fresh
-interpreters under different BLAS thread counts, which must agree.
+and values.  A change that is meant to be a pure speed-up or refactor must
+leave all of them unchanged; a change that moves any of them by one ulp
+shows here.  ``golden_digests`` is also run in fresh interpreters under
+different BLAS thread counts, which must agree.
 """
 
 import hashlib
