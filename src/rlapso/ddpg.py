@@ -333,29 +333,23 @@ def train(agent: DdpgAgent, pool, episodes: int, mode: str, variant: str, dim: i
     log: list[EpisodeRecord] = []
     best_score = math.inf
     best_actor = None
-
-    def maybe_validate():
-        nonlocal best_score, best_actor
-        score = _validation_score(agent, pool, mode, variant, dim, n_particles, budget)
-        if score < best_score:
-            best_score = score
-            best_actor = agent.actor.clone()
-
-    if validate_every:
-        maybe_validate()  # the freshly initialized policy is a candidate too
-    for ep in range(episodes):
+    for done in range(episodes + 1):  # episodes done so far
+        if validate_every and (done % validate_every == 0 or done == episodes):
+            score = _validation_score(agent, pool, mode, variant, dim, n_particles, budget)
+            if score < best_score:
+                best_score, best_actor = score, agent.actor.clone()
+        if done == episodes:
+            break
         fn_id = pool[int(ep_rng.integers(len(pool)))]
         fn_seed = int(ep_rng.integers(2**63))
         swarm_seed = int(ep_rng.integers(2**63))
         objective = make_objective(fn_id, dim, fn_seed)
         swarm = Swarm(objective, n_particles, budget, swarm_seed, variant=variant)
         losses = _training_episode(agent, swarm, mode, variant)
-        log.append(EpisodeRecord(ep, fn_id, fn_seed, swarm.gbest_fit,
+        log.append(EpisodeRecord(done, fn_id, fn_seed, swarm.gbest_fit,
                                  float(np.mean(losses)) if losses else float("nan")))
-        if validate_every and ((ep + 1) % validate_every == 0 or ep + 1 == episodes):
-            maybe_validate()
-        if log_every and (ep + 1) % log_every == 0:
-            print(f"episode {ep + 1}/{episodes}: {fn_id} gbest={swarm.gbest_fit:.6g}")
+        if log_every and (done + 1) % log_every == 0:
+            print(f"episode {done + 1}/{episodes}: {fn_id} gbest={swarm.gbest_fit:.6g}")
     if validate_every and best_actor is not None:
         agent.actor = best_actor
         agent.actor_target = best_actor.clone()
@@ -432,8 +426,8 @@ def load_model(path) -> tuple[ActorPolicy, dict]:
     meta = {}
     with open(sidecar, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
+            line = line.split("#", 1)[0].strip()
+            if not line:
                 continue
             key, sep, value = line.partition("=")
             key = key.strip()

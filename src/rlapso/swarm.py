@@ -14,8 +14,8 @@ c2, c3, c4``, never draws from the swarm's generators, and its ``adapter``
 attribute tags the run's record; 0 <= t <= t_max = max(1, budget // n - 1).
 ``Schedule`` runs the offline schedules, ``ddpg.PolicyController`` a
 trained policy.  The table is all that ``pso_step``, ``clpso_step`` and
-``rlpso_step`` take: RLPSO alone reads c3 and c4, and CLPSO reads w and c1
-from row 0 of the table it is given.
+``rlpso_step`` take, and each particle reads its own subgroup's row: RLPSO
+alone reads c3 and c4, and CLPSO reads only w and c1.
 
 Determinism contract: all randomness flows through two generators per
 swarm, each drawn in a fixed documented order, so a test oracle holding
@@ -225,10 +225,11 @@ class Swarm:
 
     # -- shared step plumbing -----------------------------------------------
 
-    def _begin(self, coeffs) -> tuple[np.ndarray, int, np.ndarray]:
+    def _begin(self, coeffs) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """Check an iteration's start: ``coeffs`` as a float64 table of one
-        row per subgroup, then the budget.  Returns the table, the number k
-        of particles the budget still covers and a copy of their positions."""
+        row per subgroup, then the budget.  Returns the number k of particles
+        the budget still covers, a copy of their positions, each one's
+        subgroup row and its inertia term ``w * v``."""
         table = np.asarray(coeffs, dtype=float)
         if table.shape != (SUBGROUPS, 5):
             raise ValueError(f"expected {SUBGROUPS} coefficient sets as a "
@@ -238,7 +239,8 @@ class Swarm:
                 f"evaluation budget {self.eval_budget} exhausted (eval_count={self.eval_count})"
             )
         k = min(self.n, self.eval_budget - self.eval_count)
-        return table, k, self.positions[:k].copy()
+        rows = table[self._group[:k]]
+        return k, self.positions[:k].copy(), rows, rows[:, 0:1] * self.velocities[:k]
 
     def _fly(self, rows, x: np.ndarray, v: np.ndarray) -> None:
         """Clamp velocities ``v`` to the speed limit in place, then land the
@@ -311,11 +313,7 @@ class Swarm:
 
     def step(self, coeffs) -> bool:
         """One iteration of this swarm's variant; returns whether gbest improved."""
-        if self.variant == "pso":
-            return self.pso_step(coeffs)
-        if self.variant == "clpso":
-            return self.clpso_step(coeffs)
-        return self.rlpso_step(coeffs)
+        return getattr(self, f"{self.variant}_step")(coeffs)
 
     def pso_step(self, coeffs) -> bool:
         """One classic iteration; returns whether the global best improved.
@@ -323,11 +321,9 @@ class Swarm:
         Evaluation stops mid-iteration if the budget runs out (remaining
         particles are left untouched).
         """
-        table, k, x0 = self._begin(coeffs)
-        rows = table[self._group[:k]]  # each particle's subgroup row
+        k, x0, rows, wv = self._begin(coeffs)
         r = self.rng.random((k, 2, self.dim))
-        own = rows[:, 0:1] * self.velocities[:k] \
-            + (rows[:, 1:2] * r[:, 0]) * (self.pbest_pos[:k] - x0)
+        own = wv + (rows[:, 1:2] * r[:, 0]) * (self.pbest_pos[:k] - x0)
         social = rows[:, 2:3] * r[:, 1]
 
         def land(s):
@@ -337,12 +333,10 @@ class Swarm:
         return self._land_in_order(k, land)
 
     def clpso_step(self, coeffs) -> bool:
-        """One comprehensive-learning iteration with the inertia w and the
-        learning coefficient c1 of the table's row 0."""
-        table, k, x0 = self._begin(coeffs)
-        w, c = table[0, :2].tolist()
-        wv = w * self.velocities[:k]
-        cr = c * self.rng.random((k, self.dim))
+        """One comprehensive-learning iteration: each particle reads the
+        inertia w and the learning coefficient c1 of its subgroup's row."""
+        k, x0, rows, wv = self._begin(coeffs)
+        cr = rows[:, 1:2] * self.rng.random((k, self.dim))
 
         def land(s):
             x = x0[s]
@@ -353,10 +347,8 @@ class Swarm:
     def rlpso_step(self, coeffs) -> bool:
         """One RLPSO iteration: exemplar + gbest + own-pbest velocity terms,
         then a stall-gated mutation that may reinitialize the position."""
-        table, k, x0 = self._begin(coeffs)
+        k, x0, rows, wv = self._begin(coeffs)
         d = self.dim
-        rows = table[self._group[:k]]
-        wv = rows[:, 0:1] * self.velocities[:k]
         coeff = np.repeat(rows[:, 1:4], d, axis=1)  # c1 | c2 | c3, one column per draw
         r = self.rng.random((k, 3 * d + 1))  # r1 | r2 | r3 | mutation draw
         fired = r[:, 3 * d] < (rows[:, 4] * 0.01) * self.stall[:k]

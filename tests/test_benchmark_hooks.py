@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 from rlapso import ddpg, harness  # loads every module the tracer looks up by name
+from rlapso.benchmarks import make_objective
 from rlapso.ddpg import DdpgAgent, action_width
+from rlapso.swarm import Schedule, Swarm, drive
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 _spec = importlib.util.spec_from_file_location("perfbench_tracer", _TRACER_PATH)
@@ -76,6 +78,19 @@ def test_training_calls_reach_the_workload_hooks():
     episode = ["map", "step"] * iterations + ["episode"]
     assert events == validation + (episode + validation) * episodes
     assert [rec.episode for rec in log] == list(range(episodes))
+
+
+@pytest.mark.parametrize("variant", ["pso", "clpso", "rlpso"])
+def test_every_step_reaches_the_tracer_through_step(variant):
+    """``Swarm.step`` looks its variant's step up on every call, so a
+    wrapper put on the class after import sees each iteration of ``drive``."""
+    events = []
+    with tracer.Patches() as patches:
+        assert patches.wrap("rlapso.swarm", f"Swarm.{variant}_step",
+                            _recording(events, "step"))
+        swarm = Swarm(make_objective("sphere", 2, 1), 10, 40, 2, variant=variant)
+        record = drive(swarm, Schedule("linear_dec_w", "none"))
+    assert len(events) == len(record.curve) - 1 == 3
 
 
 def test_comparison_runs_reach_the_run_single_hook(tmp_path):

@@ -602,6 +602,21 @@ class TestModelFiles:
         with pytest.raises(ValueError, match="line 9: duplicate key 'mode'"):
             load_model(path)
 
+    def test_sidecar_inline_comment_ignored(self, tmp_path):
+        from rlapso.harness import run_single
+
+        path = tmp_path / "model.bin"
+        save_model(DdpgAgent(20, seed=19).actor, path, mode="absolute", variant="pso",
+                   pool=["sphere"], episodes=1, seed=19)
+        sidecar = tmp_path / "model.bin.meta"
+        text = sidecar.read_text(encoding="utf-8")
+        sidecar.write_text(text.replace("mode=absolute\n",
+                                        "mode=absolute   # trained on sphere only\n"),
+                           encoding="utf-8")
+        assert "# trained" in sidecar.read_text(encoding="utf-8")
+        rec = run_single("rlam-absolute", "sphere", 2, 1, 100, 1, particles=8, model=path)
+        assert rec.adapter == "rlam-absolute"
+
     def test_missing_sidecar_rejected(self, tmp_path):
         agent = DdpgAgent(20, seed=19)
         path = tmp_path / "model.bin"

@@ -367,13 +367,12 @@ class _Oracle:
                 self.cut_short = True
                 break
             x = self.pos[i]
+            c = coeffs[self._group(i)]
             if variant == "clpso":
-                w, c = coeffs
                 r = self.rng.random(self.dim)
-                v = self._clip(w * self.vel[i] + c * r * (self._target(i) - x))
+                v = self._clip(c.w * self.vel[i] + c.c1 * r * (self._target(i) - x))
                 self._record(i, self._land(i, x + v, v), m)
                 continue
-            c = coeffs[self._group(i)]
             if variant == "pso":
                 r1 = self.rng.random(self.dim)
                 r2 = self.rng.random(self.dim)
@@ -483,9 +482,8 @@ class TestDrawOrderOracle:
 
     @pytest.mark.parametrize("seed", [33, 34])
     def test_clpso(self, seed):
-        oracle = self._run("clpso", seed,
-                           lambda s: s.clpso_step(const_coeffs(1.6, 2.9, 0.0, groups=5)),
-                           (1.6, 2.9))
+        oracle = self._run("clpso", seed, lambda s: s.clpso_step(STRESS_COEFFS),
+                           STRESS_COEFFS)
         assert oracle.reassigned
 
     @pytest.mark.parametrize("seed", [35, 36])
@@ -512,12 +510,8 @@ class TestDrawOrderOracle:
         coeffs = [CoefficientSet(0.729, 1.494, 1.494, 1.0, 1.0)] * 5
         oracle = _Oracle(swarm)
         for _ in range(15):
-            if variant == "clpso":
-                expected = oracle.step("clpso", (0.729, 1.494))
-                assert swarm.clpso_step(const_coeffs(0.729, 1.494, 0.0, groups=5)) == expected
-            else:
-                expected = oracle.step("rlpso", coeffs)
-                assert swarm.rlpso_step(coeffs) == expected
+            expected = oracle.step(variant, coeffs)
+            assert getattr(swarm, f"{variant}_step")(coeffs) == expected
             self._assert_same(swarm, oracle)
         assert oracle.read_improved >= 1 and oracle.reassigned >= 1
         if variant == "rlpso":

@@ -13,8 +13,9 @@ block.  After each block the two sides' states must be equal, or the script
 stops with an error.  The cases:
 
 * ``pso_step``, ``clpso_step`` and ``rlpso_step``, 40 particles at 10-D on
-  rastrigin and on sphere, stepped with one coefficient table; the swarms'
-  positions must agree.
+  rastrigin and on sphere, each stepped with one coefficient table through
+  ``Swarm.step``, the call ``drive`` makes, so the variant dispatch is
+  timed too; the swarms' positions must agree.
 * The ``PolicyController`` call of an untrained pso actor, absolute and
   relative mode, on a 40 x 10-D rastrigin swarm that each side steps with
   the table its controller returned.  Only the controller call is timed; the
@@ -78,12 +79,12 @@ def import_ref(ref: str, into: str):
 def swarm_step(pkg, variant: str, function: str):
     swarm = pkg.Swarm(pkg.make_objective(function, DIM, SEED), N, BUDGET, SEED,
                       variant=variant)
-    step, table = getattr(swarm, f"{variant}_step"), np.array([ROW] * 5)
+    table = np.array([ROW] * 5)
 
     def block():
         start = time.perf_counter()
         for _ in range(BLOCK_CALLS):
-            step(table)
+            swarm.step(table)
         return time.perf_counter() - start
 
     return block, lambda: [swarm.positions]
