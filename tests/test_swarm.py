@@ -511,7 +511,7 @@ class TestDrawOrderOracle:
         oracle = _Oracle(swarm)
         for _ in range(15):
             expected = oracle.step(variant, coeffs)
-            assert getattr(swarm, f"{variant}_step")(coeffs) == expected
+            assert swarm.step(coeffs) == expected
             self._assert_same(swarm, oracle)
         assert oracle.read_improved >= 1 and oracle.reassigned >= 1
         if variant == "rlpso":
