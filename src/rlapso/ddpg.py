@@ -436,4 +436,7 @@ def load_model(path) -> tuple[ActorPolicy, dict]:
             if key in meta:
                 raise ValueError(f"{sidecar} line {lineno}: duplicate key {key!r}")
             meta[key] = value.strip()
+    missing = [key for key in ("mode", "variant") if key not in meta]
+    if missing:
+        raise ValueError(f"{sidecar} declares no {' or '.join(missing)}")
     return ActorPolicy(actor), meta

@@ -122,6 +122,8 @@ def run_single(algorithm: str, function: str, dim: int, fn_seed: int, budget: in
     """Execute one run of one algorithm and return its record."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
+    if model is not None and not _needs_model(algorithm):
+        raise ValueError(f"algorithm {algorithm!r} reads no model")
     variant, controller = _ALGORITHM_TABLE[algorithm]
     objective = make_objective(function, dim, fn_seed)
     if _needs_model(algorithm):
@@ -345,8 +347,8 @@ def run_experiment(config: ExperimentConfig, quiet: bool = True):
         for alg in config.algorithms:
             finals[(fn, alg)] = []
             for k in range(config.runs):
-                rec = run_single(alg, fn, config.dim, fn_seed, config.budget,
-                                 config.seed + k, config.particles, model)
+                rec = run_single(alg, fn, config.dim, fn_seed, config.budget, config.seed + k,
+                                 config.particles, model if _needs_model(alg) else None)
                 write_curve_csv(rec, out / curve_filename(fn, alg, k))
                 finals[(fn, alg)].append(rec.final_fit)
                 records.append(rec)

@@ -38,7 +38,7 @@ class WeightsError(ValueError):
 
 
 class WeightsFormatError(WeightsError):
-    """Bad magic bytes, unknown version, or an invalid activation tag."""
+    """Bad magic bytes, an unknown activation tag, trailing bytes or non-finite values."""
 
 
 class WeightsShapeError(WeightsError):
@@ -325,4 +325,7 @@ def load_weights(path) -> Mlp:
     if len(payload) > 8 * n_params:
         raise WeightsFormatError(f"{len(payload) - 8 * n_params} trailing bytes after payload")
     params = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    bad = int(np.count_nonzero(~np.isfinite(params)))
+    if bad:
+        raise WeightsFormatError(f"{bad} of {n_params} parameters are not finite")
     return Mlp(dims, params, _TAG_ACTIVATIONS[tag])

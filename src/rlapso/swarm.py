@@ -37,9 +37,10 @@ a gate reads changes only at the particle's own record, so every gate is
 known once the block is drawn.
 
 All three steps then run one loop, ``_land_in_order``: land the k particles
-at once (velocity, speed clamp, position, bound clamp), evaluate and record
-them in index order, and after a record land again, from the iteration's
-start positions, exactly the later particles it made stale.  Particle i's
+at once (velocity, speed clamp, position, bound clamp), then give each its
+turn, ``_record``, in index order (initialization records through it too),
+and land again, from the iteration's start positions, the later particles
+the record returns as stale.  Particle i's
 velocity reads its own position, velocity and pbest, which nothing changes
 before its turn, and its targets at its turn: the gbest, and the pbests its
 exemplar row names.  Exemplar rows change only at reassignment, after the
@@ -180,16 +181,15 @@ class Swarm:
 
         self.positions = self.rng.uniform(objective.lower, objective.upper, (n, self.dim))
         self.velocities = self.rng.uniform(-self.v_max, self.v_max, (n, self.dim))
-        fits = np.array([objective.evaluate(p) for p in self.positions])
         self.pbest_pos = self.positions.copy()
-        self.pbest_fit = fits
-        g = int(np.argmin(fits))
-        self.gbest_pos = self.positions[g].copy()
-        self.gbest_fit = float(fits[g])
-        self.eval_count = n
-        self.last_improve_eval = n
+        self.pbest_fit = np.full(n, np.inf)
+        self.gbest_fit = np.inf
+        self.eval_count = 0
         self.stall = np.zeros(n, dtype=int)
         self.exemplar = np.tile(np.arange(n)[:, None], (1, self.dim))
+        for i in range(n):  # every first record improves, so none counts a stall
+            self._record(i, i + 1)
+        self.last_improve_eval = n
         if variant in ("clpso", "rlpso"):
             for i in range(n):
                 self.assign_exemplar(i)
@@ -258,56 +258,50 @@ class Swarm:
         self.positions[rows] = x
         self.velocities[rows] = v
 
-    def _record(self, i: int) -> bool:
-        """Evaluate particle i where it landed and update its pbest and the
-        gbest; returns whether its pbest improved."""
-        x = self.positions[i]
+    def _record(self, j: int, k: int):
+        """Particle j's turn: evaluate it, update its pbest and, independently,
+        the gbest, and for CLPSO and RLPSO count a stall if the pbest did not
+        improve, redrawing the exemplar row past the refreshing gap.  Returns
+        the particles of j+1..k-1 it made stale (see the module docstring)."""
+        x = self.positions[j]
         fit = self.objective.evaluate(x)
         self.eval_count += 1
-        improved = fit < self.pbest_fit[i]
+        improved = fit < self.pbest_fit[j]
         if improved:
-            self.pbest_fit[i] = fit
-            self.pbest_pos[i] = x
+            self.pbest_fit[j] = fit
+            self.pbest_pos[j] = x
+        stale = None
         if fit < self.gbest_fit:
             self.gbest_fit = fit
             self.gbest_pos = x.copy()
-        return improved
+            if self.variant != "clpso":
+                stale = slice(j + 1, k)
+        if self.variant == "pso":
+            return stale
+        if not improved:
+            self.stall[j] += 1
+            if self.stall[j] > REFRESH_GAP:
+                self.assign_exemplar(j)
+        elif stale is None:
+            rows = j + 1 + np.flatnonzero((self.exemplar[j + 1:k] == j).any(axis=1))
+            stale = rows if rows.size else None
+        return stale
 
     def _land_in_order(self, k: int, land) -> bool:
         """Land particles 0..k-1 as one block with ``land(slice(0, k))``, then
-        evaluate and record them in index order, landing again with
-        ``land(rows)`` the later particles each record made stale: those
-        ``_refresh`` picks (CLPSO, RLPSO), or all of them after a gbest move
-        (PSO, RLPSO).  Returns whether the iteration improved gbest."""
+        record them in index order, landing again with ``land(rows)`` the
+        later particles each ``_record`` returns as stale.  Returns whether
+        the iteration improved gbest."""
         start_best = self.gbest_fit
-        follows_gbest = self.variant != "clpso"
-        reads_exemplars = self.variant != "pso"
         land(slice(0, k))
         for j in range(k):
-            best = self.gbest_fit
-            improved = self._record(j)
-            rows = self._refresh(j, improved, k) if reads_exemplars else None
-            if follows_gbest and self.gbest_fit < best:
-                rows = slice(j + 1, k)
+            rows = self._record(j, k)
             if rows is not None:
                 land(rows)
         improved = self.gbest_fit < start_best
         if improved:
             self.last_improve_eval = self.eval_count
         return improved
-
-    def _refresh(self, j: int, improved: bool, k: int):
-        """Exemplar bookkeeping after particle j's record: a stalled particle
-        counts the stall and, past the refreshing gap, draws a new exemplar
-        row; an improved one returns the particles of j+1..k-1 whose
-        exemplar row names j, or None if there are none."""
-        if improved:
-            rows = j + 1 + np.flatnonzero((self.exemplar[j + 1:k] == j).any(axis=1))
-            return rows if rows.size else None
-        self.stall[j] += 1
-        if self.stall[j] > REFRESH_GAP:
-            self.assign_exemplar(j)
-        return None
 
     # -- step variants ------------------------------------------------------
 

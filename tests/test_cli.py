@@ -193,6 +193,35 @@ class TestCorruptModel:
         assert capsys.readouterr().err.startswith("error:")
         assert not (tmp_path / "out").exists()
 
+    def test_run_with_non_finite_model_is_runtime_error(self, tmp_path, capsys):
+        model = tmp_path / "nan.bin"
+        actor = DdpgAgent(action_width("pso"), seed=0).actor
+        actor.params[:] = np.nan
+        save_model(actor, model, mode="absolute", variant="pso", pool=["sphere"],
+                   episodes=1, seed=0)
+        out = tmp_path / "x.csv"
+        code = main(["run", "--function", "sphere", "--dim", "2", "--algo", "rlam-absolute",
+                     "--model", str(model), "--budget", "400", "--particles", "10",
+                     "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{actor.params.size} of {actor.params.size} parameters are not finite" in err
+        assert not out.exists()
+
+
+class TestModelForModelFreeAlgorithm:
+    def test_run_refuses_a_model_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the model was refused")
+        monkeypatch.setattr(harness, "make_objective", fail)
+        out = tmp_path / "x.csv"
+        code = main(["run", "--function", "sphere", "--dim", "2", "--algo", "pso",
+                     "--model", str(tmp_path / "does-not-exist.bin"), "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: algorithm 'pso' reads no model\n"
+        assert not out.exists()
+
 
 class TestMissingOutDirectory:
     @pytest.fixture(autouse=True)

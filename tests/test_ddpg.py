@@ -617,6 +617,19 @@ class TestModelFiles:
         rec = run_single("rlam-absolute", "sphere", 2, 1, 100, 1, particles=8, model=path)
         assert rec.adapter == "rlam-absolute"
 
+    @pytest.mark.parametrize("dropped", [("mode",), ("variant",), ("mode", "variant")])
+    def test_sidecar_without_mode_or_variant_rejected(self, tmp_path, dropped):
+        path = tmp_path / "model.bin"
+        save_model(DdpgAgent(20, seed=19).actor, path, mode="absolute", variant="pso",
+                   pool=["sphere"], episodes=1, seed=19)
+        sidecar = tmp_path / "model.bin.meta"
+        lines = sidecar.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines if line.partition("=")[0] not in dropped]
+        assert len(kept) == len(lines) - len(dropped)
+        sidecar.write_text("".join(kept), encoding="utf-8")
+        with pytest.raises(ValueError, match=f"model.bin.meta declares no {' or '.join(dropped)}$"):
+            load_model(path)
+
     def test_missing_sidecar_rejected(self, tmp_path):
         agent = DdpgAgent(20, seed=19)
         path = tmp_path / "model.bin"

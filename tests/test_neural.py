@@ -366,6 +366,15 @@ class TestSerialization:
         with pytest.raises(WeightsFormatError, match="trailing"):
             load_weights(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, tmp_path, value):
+        net = Mlp.init([3, 4, 2], "tanh", np.random.default_rng(15))
+        net.params[[0, 17]] = value  # one weight, one bias
+        path = tmp_path / "w.bin"
+        save_weights(net, path)
+        with pytest.raises(WeightsFormatError, match="2 of 26 parameters are not finite"):
+            load_weights(path)
+
     def test_zero_layer_count_rejected(self, tmp_path):
         import struct
 

@@ -37,6 +37,26 @@ class TestInit:
         swarm = Swarm(make_objective("rastrigin", 6, 2), 12, 1000, seed=3)
         assert swarm.gbest_fit == swarm.pbest_fit.min()
 
+    @pytest.mark.parametrize("variant", ["pso", "clpso", "rlpso"])
+    def test_initial_records_keep_the_first_of_tied_minima(self, variant):
+        script = [5.0, 3.0, 7.0, 3.0, 9.0, 3.0]
+
+        class Scripted(CountingObjective):
+            def evaluate(self, x):
+                self.calls += 1
+                return script[self.calls - 1]
+
+        swarm = Swarm(Scripted(flat_objective(3)), 6, 100, seed=4, variant=variant)
+        assert np.array_equal(swarm.gbest_pos, swarm.positions[1])
+        assert not np.array_equal(swarm.gbest_pos, swarm.positions[3])
+        assert not np.shares_memory(swarm.gbest_pos, swarm.positions)
+        assert np.array_equal(swarm.pbest_pos, swarm.positions)
+        assert not np.shares_memory(swarm.pbest_pos, swarm.positions)
+        assert swarm.pbest_fit.tolist() == script
+        assert swarm.gbest_fit == 3.0
+        assert swarm.eval_count == swarm.last_improve_eval == 6
+        assert not swarm.stall.any()
+
     def test_seed_determinism(self):
         obj = make_objective("griewank", 5, 4)
         a = Swarm(obj, 10, 500, seed=9)

@@ -6,11 +6,14 @@ Usage, from anywhere inside the repository:
 
 The script extracts ``src/rlapso`` of PARENT_REF with ``git archive`` into
 a temporary directory and imports it as ``rlapso_ref``, next to this working
-tree's ``rlapso``.  Each case builds one instance of its unit per tree from
-the same seed and drives both on identical inputs: 2 warm-up blocks, then 40
-blocks of 10 calls, with the tree that goes first alternating from block to
-block.  After each block the two sides' states must be equal, or the script
-stops with an error.  The cases:
+tree's ``rlapso``.  Each case runs 40 blocks.  A block builds a fresh
+instance of the unit per tree from seed ``SEED + block`` and drives both on
+identical inputs: one untimed warm-up batch of 10 calls each, then one timed
+batch of 10 calls each, with the tree that goes first alternating from block
+to block.  After each block the two sides' states must be equal, or the
+script stops with an error.  So the blocks are independent pairs of
+instances: a cost that belongs to one instance, such as where its arrays
+landed in memory, shows in one block only.  The cases:
 
 * ``pso_step``, ``clpso_step`` and ``rlpso_step``, 40 particles at 10-D on
   rastrigin and on sphere, each stepped with one coefficient table through
@@ -26,8 +29,9 @@ stops with an error.  The cases:
 It prints, per case, each side's median time per unit over the blocks and
 the number of blocks each side was faster in.  Both trees run in one process
 on one trajectory, so a change in host speed that lasts longer than a block
-slows both sides alike.  End-to-end claims belong to ``perfbench``; this
-covers the per-layer ones it cannot resolve.
+slows both sides alike.  Run against the working tree's own commit, the
+split shows the tool's spread on identical code.  End-to-end claims belong
+to ``perfbench``; this covers the per-layer ones it cannot resolve.
 """
 import os
 
@@ -50,11 +54,12 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 N, DIM, SEED = 40, 10, 6
-WARMUP_BLOCKS, BLOCKS, BLOCK_CALLS = 2, 40, 10
+BLOCKS, BLOCK_CALLS = 40, 10
 TRANSITIONS = 2000
 # w, c1, c2, c3, c4 for every subgroup; c4 > 0 lets RLPSO mutate
 ROW = (0.729, 1.494, 1.494, 1.0, 1.0)
-BUDGET = N * (1 + (WARMUP_BLOCKS + BLOCKS) * BLOCK_CALLS)
+T_MAX = 2 * BLOCK_CALLS  # a fresh unit's warm-up batch, then its timed batch
+BUDGET = N * (1 + T_MAX)
 
 
 def import_ref(ref: str, into: str):
@@ -72,12 +77,13 @@ def import_ref(ref: str, into: str):
     return importlib.import_module("rlapso_ref")
 
 
-# Each case builder takes one tree's package and returns (block, state):
-# ``block()`` makes BLOCK_CALLS calls of the unit and returns the seconds
-# they took; ``state()`` is what must agree between the trees afterwards.
+# Each case builder takes one tree's package, its case arguments and a seed,
+# and returns (block, state) for a fresh unit: ``block()`` makes BLOCK_CALLS
+# calls of the unit and returns the seconds they took; ``state()`` is what
+# must agree between the trees afterwards.
 
-def swarm_step(pkg, variant: str, function: str):
-    swarm = pkg.Swarm(pkg.make_objective(function, DIM, SEED), N, BUDGET, SEED,
+def swarm_step(pkg, variant: str, function: str, seed: int):
+    swarm = pkg.Swarm(pkg.make_objective(function, DIM, seed), N, BUDGET, seed,
                       variant=variant)
     table = np.array([ROW] * 5)
 
@@ -90,13 +96,12 @@ def swarm_step(pkg, variant: str, function: str):
     return block, lambda: [swarm.positions]
 
 
-def policy_call(pkg, mode: str):
+def policy_call(pkg, mode: str, seed: int):
     ddpg = importlib.import_module(f"{pkg.__name__}.ddpg")
-    swarm = pkg.Swarm(pkg.make_objective("rastrigin", DIM, SEED), N, BUDGET, SEED)
-    agent = ddpg.DdpgAgent(ddpg.action_width("pso"), seed=SEED)
+    swarm = pkg.Swarm(pkg.make_objective("rastrigin", DIM, seed), N, BUDGET, seed)
+    agent = ddpg.DdpgAgent(ddpg.action_width("pso"), seed=seed)
     controller = ddpg.PolicyController(agent, mode, "pso")
-    t_max = (WARMUP_BLOCKS + BLOCKS) * BLOCK_CALLS
-    calls = iter(range(t_max))
+    calls = iter(range(T_MAX))
     last = [None]
 
     def block():
@@ -104,7 +109,7 @@ def policy_call(pkg, mode: str):
         for _ in range(BLOCK_CALLS):
             t = next(calls)
             start = time.perf_counter()
-            last[0] = controller(swarm, t, t_max)
+            last[0] = controller(swarm, t, T_MAX)
             spent += time.perf_counter() - start
             swarm.pso_step(last[0])
         return spent
@@ -112,10 +117,10 @@ def policy_call(pkg, mode: str):
     return block, lambda: [last[0], swarm.positions]
 
 
-def train_step(pkg):
+def train_step(pkg, seed: int):
     ddpg = importlib.import_module(f"{pkg.__name__}.ddpg")
-    agent = ddpg.DdpgAgent(ddpg.action_width("pso"), seed=SEED)
-    rng, width = np.random.default_rng(SEED), ddpg.STATE_WIDTH
+    agent = ddpg.DdpgAgent(ddpg.action_width("pso"), seed=seed)
+    rng, width = np.random.default_rng(seed), ddpg.STATE_WIDTH
     for _ in range(TRANSITIONS):
         agent.buffer.push(rng.uniform(-1, 1, width), rng.uniform(-1, 1, agent.action_dim),
                           float(rng.choice((-1.0, 1.0))), rng.uniform(-1, 1, width))
@@ -140,14 +145,13 @@ CASES += [("train_step", train_step, (), 1e3, "ms/call")]
 
 
 def run_case(packages, builder, args):
-    """Drive one unit per package in lockstep; returns each side's block
-    times in seconds per call."""
-    sides = [builder(pkg, *args) for pkg in packages]
-    for _ in range(WARMUP_BLOCKS):
-        for block, _ in sides:
-            block()
+    """Drive a fresh unit per package in lockstep for every block; returns
+    each side's timed batches in seconds per call."""
     times = [[], []]
     for n in range(BLOCKS):
+        sides = [builder(pkg, *args, SEED + n) for pkg in packages]
+        for block, _ in sides:
+            block()  # the untimed warm-up batch
         for side in ((0, 1) if n % 2 == 0 else (1, 0)):
             times[side].append(sides[side][0]() / BLOCK_CALLS)
         for a, b in zip(sides[0][1](), sides[1][1]()):
@@ -167,8 +171,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         ref = import_ref(args.parent_ref, tmp)
         print(f"lockstep: {args.parent_ref} (ref) against the working tree (this); "
-              f"{WARMUP_BLOCKS} warm-up blocks, {BLOCKS} alternating blocks of "
-              f"{BLOCK_CALLS} calls; median time per unit")
+              f"{BLOCKS} alternating blocks of fresh units, each one warm-up and one "
+              f"timed batch of {BLOCK_CALLS} calls; median time per unit")
         for label, builder, case_args, scale, unit in CASES:
             ref_t, this_t = run_case((ref, rlapso), builder, case_args)
             ref_med = statistics.median(ref_t) * scale
