@@ -8,12 +8,12 @@ The script extracts ``src/rlapso`` of PARENT_REF with ``git archive`` into
 a temporary directory and imports it as ``rlapso_ref``, next to this working
 tree's ``rlapso``.  Each case runs 40 blocks.  A block builds a fresh
 instance of the unit per tree from seed ``SEED + block`` and drives both on
-identical inputs: one untimed warm-up batch of 10 calls each, then one timed
-batch of 10 calls each, with the tree that goes first alternating from block
-to block.  After each block the two sides' states must be equal, or the
-script stops with an error.  So the blocks are independent pairs of
-instances: a cost that belongs to one instance, such as where its arrays
-landed in memory, shows in one block only.  The cases:
+identical inputs: per tree, the build, one untimed warm-up batch of 10 calls
+and one timed batch of 10 calls run back to back, and the tree that goes
+first alternates from block to block.  After each block the two sides'
+states must be equal, or the script stops with an error.  So the blocks are
+independent pairs of instances: a cost that belongs to one instance, such as
+where its arrays landed in memory, shows in one block only.  The cases:
 
 * ``pso_step``, ``clpso_step`` and ``rlpso_step``, 40 particles at 10-D on
   rastrigin and on sphere, each stepped with one coefficient table through
@@ -26,10 +26,11 @@ landed in memory, shows in one block only.  The cases:
 * ``DdpgAgent.train_step`` of two agents seeded alike, whose buffers hold
   the same 2000 transitions; every network's ``params`` must agree.
 
-It prints, per case, each side's median time per unit over the blocks and
-the number of blocks each side was faster in.  Both trees run in one process
-on one trajectory, so a change in host speed that lasts longer than a block
-slows both sides alike.  Run against the working tree's own commit, the
+It prints, per case, each side's median time per unit over the blocks, the
+median over the blocks of this tree's time relative to the ref's in the same
+block, and the number of blocks each side was faster in.  Both trees run in
+one process on one trajectory, so a change in host speed that lasts longer
+than a block slows both sides alike.  Run against the working tree's own commit, the
 split shows the tool's spread on identical code.  End-to-end claims belong
 to ``perfbench``; this covers the per-layer ones it cannot resolve.
 """
@@ -147,14 +148,15 @@ CASES += [("train_step", train_step, (), 1e3, "ms/call")]
 def run_case(packages, builder, args):
     """Drive a fresh unit per package in lockstep for every block; returns
     each side's timed batches in seconds per call."""
-    times = [[], []]
+    times, states = [[], []], [None, None]
     for n in range(BLOCKS):
-        sides = [builder(pkg, *args, SEED + n) for pkg in packages]
-        for block, _ in sides:
-            block()  # the untimed warm-up batch
+        # each side is built, warmed up and timed back to back, so neither
+        # times its batch straight after the other side's warm-up
         for side in ((0, 1) if n % 2 == 0 else (1, 0)):
-            times[side].append(sides[side][0]() / BLOCK_CALLS)
-        for a, b in zip(sides[0][1](), sides[1][1]()):
+            block, states[side] = builder(packages[side], *args, SEED + n)
+            block()  # the untimed warm-up batch
+            times[side].append(block() / BLOCK_CALLS)
+        for a, b in zip(states[0](), states[1]()):
             if not np.array_equal(a, b):
                 raise AssertionError(f"{builder.__name__}{args}: the trees differ after "
                                      f"block {n}")
@@ -178,8 +180,9 @@ def main(argv=None) -> int:
             ref_med = statistics.median(ref_t) * scale
             this_med = statistics.median(this_t) * scale
             this_won = sum(b < a for a, b in zip(ref_t, this_t))
+            paired = statistics.median(b / a for a, b in zip(ref_t, this_t))
             print(f"{label:<20} ref {ref_med:7.2f}  this {this_med:7.2f} {unit:<11} "
-                  f"({(this_med / ref_med - 1) * 100:+5.1f} %)  "
+                  f"(paired {(paired - 1) * 100:+5.1f} %)  "
                   f"faster blocks: ref {BLOCKS - this_won}, this {this_won}")
     return 0
 
