@@ -330,7 +330,7 @@ def run_experiment(config: ExperimentConfig, quiet: bool = True):
     algorithms, so comparisons are seed-paired); per-function instance seeds
     are ``seed + 1000 * (function_index + 1)``.  The model, if any, is loaded
     and checked against every model-driven algorithm before ``out_dir`` is
-    created or any run starts.
+    created or any run starts, and only those algorithms are handed it.
     """
     config.validate()
     model_algorithms = [a for a in config.algorithms if _needs_model(a)]

@@ -234,6 +234,18 @@ class TestRunSingle:
             with pytest.raises(ValueError, match=f"^algorithm '{algo}' reads no model$"):
                 run_single(algo, "sphere", 2, 1, 100, 1, particles=8, model=model)
 
+    def test_experiment_hands_its_model_to_model_driven_algorithms_only(self, tmp_path):
+        from rlapso.ddpg import DdpgAgent, action_width, save_model
+
+        path = tmp_path / "absolute.bin"
+        save_model(DdpgAgent(action_width("pso"), seed=5).actor, path, mode="absolute",
+                   variant="pso", pool=["sphere"], episodes=1, seed=5)
+        cfg = tiny_config(tmp_path, algorithms=["pso", "clpso", "rlam-absolute"],
+                          model=str(path))
+        records, _ = run_experiment(cfg)
+        assert [(r.variant, r.adapter) for r in records[:9:3]] == [
+            ("pso", "none"), ("clpso", "linear_dec_w"), ("pso", "rlam-absolute")]
+
     def test_curve_non_increasing_all_algorithms(self):
         for algo in ("pso", "pso-linear", "pso-tvac", "clpso"):
             rec = run_single(algo, "rastrigin", 2, 3, 400, 2, particles=8)
@@ -387,18 +399,6 @@ class TestModelContract:
         with pytest.raises(ValueError, match="mode=absolute, rlam-relative needs relative"):
             run_experiment(cfg)
         assert not Path(cfg.out_dir).exists()
-
-    def test_experiment_hands_its_model_to_model_driven_algorithms_only(self, tmp_path):
-        from rlapso.ddpg import DdpgAgent, action_width, save_model
-
-        path = tmp_path / "absolute.bin"
-        save_model(DdpgAgent(action_width("pso"), seed=5).actor, path, mode="absolute",
-                   variant="pso", pool=["sphere"], episodes=1, seed=5)
-        cfg = tiny_config(tmp_path, algorithms=["pso", "clpso", "rlam-absolute"],
-                          model=str(path))
-        records, _ = run_experiment(cfg)
-        assert [(r.variant, r.adapter) for r in records[:9:3]] == [
-            ("pso", "none"), ("clpso", "linear_dec_w"), ("pso", "rlam-absolute")]
 
     def test_actor_input_width_checked_without_a_sidecar_key(self, tmp_path):
         from rlapso.ddpg import MODEL_META_SUFFIX, save_model
