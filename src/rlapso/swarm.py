@@ -1,9 +1,11 @@
-"""Particle swarm state, update rules, and the one loop that runs a swarm.
+"""Particle swarm state, its one velocity rule, and the one loop that runs a swarm.
 
-Three step kinds share one ``Swarm``: the classic inertia/pbest/gbest update,
-the comprehensive-learning update with per-dimension exemplars, and the
-RLPSO update (exemplar + gbest + own-pbest terms with a stall-gated position
-mutation).  ``Swarm.step`` runs the swarm's own kind.
+Three variants share one ``Swarm`` and one step, and differ in what pulls a
+particle, ``TARGETS``: the classic update is pulled by the particle's own
+pbest and the gbest, the comprehensive-learning update by its per-dimension
+exemplar, and the RLPSO update by the exemplar, the gbest and its own pbest,
+followed by a stall-gated position mutation.  ``Swarm.step`` runs the
+swarm's own variant.
 
 Controller contract: ``drive`` is the one loop that runs a swarm to its
 budget.  Per iteration it calls ``controller(swarm, t, t_max)`` once, steps,
@@ -13,48 +15,50 @@ of shape ``(SUBGROUPS, 5)``, one row per subgroup with columns ``w, c1,
 c2, c3, c4``, never draws from the swarm's generators, and its ``adapter``
 attribute tags the run's record; 0 <= t <= t_max = max(1, budget // n - 1).
 ``Schedule`` runs the offline schedules, ``ddpg.PolicyController`` a
-trained policy.  The table is all that ``pso_step``, ``clpso_step`` and
-``rlpso_step`` take, and each particle reads its own subgroup's row: RLPSO
-alone reads c3 and c4, and CLPSO reads only w and c1.
+trained policy.  The table is all a step takes, and each particle reads its
+own subgroup's row: w, and column m + 1 for its m-th target, so PSO reads
+w, c1 and c2, CLPSO w and c1, and RLPSO, whose mutation gate reads c4, all
+five.
 
 Determinism contract: all randomness flows through two generators per
 swarm, each drawn in a fixed documented order, so a test oracle holding
 identically seeded generators can replay a run bit-exactly.  ``self.rng =
 default_rng(seed)`` draws the positions and velocities at initialization,
-as single ``(n, dim)`` uniform blocks, and then each iteration's velocity
-terms as one block, where k is the number of particles the budget still
-covers: PSO ``rng.random((k, 2, dim))`` (particle i's r1 in ``[i, 0]``, its
-r2 in ``[i, 1]``), CLPSO ``rng.random((k, dim))`` and RLPSO ``rng.random((k,
-3 * dim + 1))`` (r1, r2, r3 and the mutation draw per row), followed by
-``rng.uniform(lower, upper, (f, dim))`` for the f particles whose mutation
-gate ``r[3 * dim] < (c4 * 0.01) * stall`` fires, in index order.
-``self.exemplar_rng = default_rng(SeedSequence(seed, spawn_key=(0,)))``
-draws every exemplar row, one ``random((3, dim))`` block each (see
-``assign_exemplar``): at initialization particle by particle, then whenever
-a particle's stall count passes the refreshing gap (``REFRESH_GAP``,
-CLPSO's m = 7) after its record.  PSO never draws from it.  The stall count
-a gate reads changes only at the particle's own record, so every gate is
-known once the block is drawn.
+as single ``(n, dim)`` uniform blocks, and then each iteration's draws as
+one block ``r = rng.random((k, T * dim + M))``, where k is the number of
+particles the budget still covers, T the number of targets and M is 1 for
+RLPSO's mutation draw, else 0: particle i's draws for its m-th target are
+``r[i, m * dim:(m + 1) * dim]`` and its mutation draw is ``r[i, T * dim]``.
+RLPSO follows it with ``rng.uniform(lower, upper, (f, dim))`` for the f
+particles whose mutation gate ``r[i, T * dim] < (c4 * 0.01) * stall`` fires,
+in index order.  ``self.exemplar_rng = default_rng(SeedSequence(seed,
+spawn_key=(0,)))`` draws every exemplar row, one ``random((3, dim))`` block
+each (see ``assign_exemplar``): at initialization particle by particle, then
+whenever a particle's stall count passes the refreshing gap
+(``REFRESH_GAP``, CLPSO's m = 7) after its record.  A variant without an
+exemplar target never draws from it.  The stall count a gate reads changes
+only at the particle's own record, so every gate is known once the block is
+drawn.
 
-All three steps then run one loop, ``_land_in_order``: land the k particles
-at once (velocity, speed clamp, position, bound clamp), then give each its
-turn, ``_record``, in index order (initialization records through it too),
-and land again, from the iteration's start positions, the later particles
-the record returns as stale.  Particle i's
-velocity reads its own position, velocity and pbest, which nothing changes
-before its turn, and its targets at its turn: the gbest, and the pbests its
-exemplar row names.  Exemplar rows change only at reassignment, after the
-particle's own record.  So particle j's record makes a later landing stale
-exactly when it moves one of its targets: a gbest move (PSO, RLPSO) makes
-all of j+1..k-1 stale, and a pbest improvement (CLPSO, RLPSO) the later
-particles whose exemplar row names j.  A mutated particle reads no target:
-it lands at its mutant with a zero velocity whenever it is landed.
+The step lands the k particles at once (velocity, speed clamp, position,
+bound clamp), then gives each its turn, ``_record``, in index order
+(initialization records through it too), and lands again, from the
+iteration's start positions, the later particles the record returns as
+stale.  Particle i's velocity reads its own position, velocity and pbest,
+which nothing changes before its turn, and its other targets at its turn:
+the gbest, and the pbests its exemplar row names.  Exemplar rows change only
+at reassignment, after the particle's own record.  So particle j's record
+makes a later landing stale exactly when it moves one of their targets: a
+gbest move makes all of j+1..k-1 stale where the gbest is a target, and a
+pbest improvement the later particles whose exemplar row names j where the
+exemplar is.  A mutated particle reads no target: it lands at its mutant
+with a zero velocity whenever it is landed.
 
 Every update performs the per-particle form's operations with its
-association, ``(w*v + (c1*r1)*(p - x)) + (c2*r2)*(g - x)`` for PSO,
-``w*v + (c*r)*(t - x)`` for CLPSO's exemplar target t and ``((w*v +
-(c1*r1)*(t - x)) + (c2*r2)*(g - x)) + (c3*r3)*(p - x)`` for RLPSO, so
-results are bit-identical to that form, which the tests replay.
+association: the terms ``(c*r)*(t - x)``, one per target t in ``TARGETS``
+order, add onto ``w*v`` from left to right, so PSO computes ``(w*v +
+(c1*r1)*(p - x)) + (c2*r2)*(g - x)``.  Results are bit-identical to that
+form, which the tests replay.
 """
 from __future__ import annotations
 
@@ -68,6 +72,9 @@ from .benchmarks import Objective
 V_MAX_FRACTION = 0.2
 SUBGROUPS = 5  # one coefficient row per subgroup; the actor's output width fixes it
 REFRESH_GAP = 7  # CLPSO's refreshing gap m
+# what pulls each variant's particles, in the order their velocity terms add up
+TARGETS = {"pso": ("pbest", "gbest"), "clpso": ("exemplar",),
+           "rlpso": ("exemplar", "gbest", "pbest")}
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -160,7 +167,7 @@ class Swarm:
     """
 
     def __init__(self, objective: Objective, n: int, budget: int, seed: int, variant: str = "pso"):
-        if variant not in ("pso", "clpso", "rlpso"):
+        if variant not in TARGETS:
             raise ValueError(f"unknown variant {variant!r}")
         if n < SUBGROUPS:
             raise ValueError(f"need at least {SUBGROUPS} particles, got {n}")
@@ -171,6 +178,9 @@ class Swarm:
         self.dim = objective.dim
         self.eval_budget = budget
         self.variant = variant
+        self._targets = TARGETS[variant]
+        self._follows_gbest = "gbest" in self._targets
+        self._reads_exemplars = "exemplar" in self._targets
         self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.exemplar_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
@@ -189,8 +199,11 @@ class Swarm:
         self.exemplar = np.tile(np.arange(n)[:, None], (1, self.dim))
         for i in range(n):  # every first record improves, so none counts a stall
             self._record(i, i + 1)
+        if not np.isfinite(self.pbest_fit).any():
+            raise ValueError(f"the objective returned no finite value at any of the "
+                             f"{n} initial positions")
         self.last_improve_eval = n
-        if variant in ("clpso", "rlpso"):
+        if "exemplar" in self._targets:
             for i in range(n):
                 self.assign_exemplar(i)
 
@@ -220,27 +233,7 @@ class Swarm:
         self.stall[i] = 0
         return row
 
-    def _exemplar_target(self, rows) -> np.ndarray:
-        return self.pbest_pos[self.exemplar[rows], self._dims]
-
-    # -- shared step plumbing -----------------------------------------------
-
-    def _begin(self, coeffs) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Check an iteration's start: ``coeffs`` as a float64 table of one
-        row per subgroup, then the budget.  Returns the number k of particles
-        the budget still covers, a copy of their positions, each one's
-        subgroup row and its inertia term ``w * v``."""
-        table = np.asarray(coeffs, dtype=float)
-        if table.shape != (SUBGROUPS, 5):
-            raise ValueError(f"expected {SUBGROUPS} coefficient sets as a "
-                             f"({SUBGROUPS}, 5) table, got shape {table.shape}")
-        if self.eval_count >= self.eval_budget:
-            raise BudgetExhaustedError(
-                f"evaluation budget {self.eval_budget} exhausted (eval_count={self.eval_count})"
-            )
-        k = min(self.n, self.eval_budget - self.eval_count)
-        rows = table[self._group[:k]]
-        return k, self.positions[:k].copy(), rows, rows[:, 0:1] * self.velocities[:k]
+    # -- the step -------------------------------------------------------------
 
     def _fly(self, rows, x: np.ndarray, v: np.ndarray) -> None:
         """Clamp velocities ``v`` to the speed limit in place, then land the
@@ -260,9 +253,11 @@ class Swarm:
 
     def _record(self, j: int, k: int):
         """Particle j's turn: evaluate it, update its pbest and, independently,
-        the gbest, and for CLPSO and RLPSO count a stall if the pbest did not
-        improve, redrawing the exemplar row past the refreshing gap.  Returns
-        the particles of j+1..k-1 it made stale (see the module docstring)."""
+        the gbest, and where the exemplar is a target count a stall if the
+        pbest did not improve, redrawing the exemplar row past the refreshing
+        gap.  Returns the particles of j+1..k-1 it made stale: all of them
+        after a gbest move where the gbest is a target, else, after a pbest
+        improvement, those whose exemplar row names j."""
         x = self.positions[j]
         fit = self.objective.evaluate(x)
         self.eval_count += 1
@@ -274,9 +269,9 @@ class Swarm:
         if fit < self.gbest_fit:
             self.gbest_fit = fit
             self.gbest_pos = x.copy()
-            if self.variant != "clpso":
+            if self._follows_gbest:
                 stale = slice(j + 1, k)
-        if self.variant == "pso":
+        if not self._reads_exemplars:
             return stale
         if not improved:
             self.stall[j] += 1
@@ -287,79 +282,77 @@ class Swarm:
             stale = rows if rows.size else None
         return stale
 
-    def _land_in_order(self, k: int, land) -> bool:
-        """Land particles 0..k-1 as one block with ``land(slice(0, k))``, then
-        record them in index order, landing again with ``land(rows)`` the
-        later particles each ``_record`` returns as stale.  Returns whether
-        the iteration improved gbest."""
-        start_best = self.gbest_fit
-        land(slice(0, k))
-        for j in range(k):
-            rows = self._record(j, k)
-            if rows is not None:
-                land(rows)
-        improved = self.gbest_fit < start_best
-        if improved:
-            self.last_improve_eval = self.eval_count
-        return improved
-
-    # -- step variants ------------------------------------------------------
-
     def step(self, coeffs) -> bool:
-        """One iteration of this swarm's variant; returns whether gbest improved."""
+        """One iteration of this swarm's variant; returns whether gbest improved.
+
+        ``pso_step``, ``clpso_step`` and ``rlpso_step`` are all ``_step``, but
+        the variant's name is looked up on every call, so a wrapper put on one
+        of them (as the tracer does) counts that variant's steps apart."""
         return getattr(self, f"{self.variant}_step")(coeffs)
 
-    def pso_step(self, coeffs) -> bool:
-        """One classic iteration; returns whether the global best improved.
+    def _step(self, coeffs) -> bool:
+        """One iteration of the swarm's velocity rule (see the module
+        docstring) with ``coeffs``, a float64 table of one row per subgroup;
+        returns whether the global best improved.
 
         Evaluation stops mid-iteration if the budget runs out (remaining
         particles are left untouched).
         """
-        k, x0, rows, wv = self._begin(coeffs)
-        r = self.rng.random((k, 2, self.dim))
-        own = wv + (rows[:, 1:2] * r[:, 0]) * (self.pbest_pos[:k] - x0)
-        social = rows[:, 2:3] * r[:, 1]
+        table = np.asarray(coeffs, dtype=float)
+        if table.shape != (SUBGROUPS, 5):
+            raise ValueError(f"expected {SUBGROUPS} coefficient sets as a "
+                             f"({SUBGROUPS}, 5) table, got shape {table.shape}")
+        if self.eval_count >= self.eval_budget:
+            raise BudgetExhaustedError(f"evaluation budget {self.eval_budget} exhausted "
+                                       f"(eval_count={self.eval_count})")
+        k = min(self.n, self.eval_budget - self.eval_count)
+        rows, x0 = table[self._group[:k]], self.positions[:k].copy()
+        wv = rows[:, 0:1] * self.velocities[:k]
+        d, targets = self.dim, self._targets
+        mutates = self.variant == "rlpso"
+        r = self.rng.random((k, len(targets) * d + mutates))
+        if mutates:
+            fired = r[:, -1] < (rows[:, 4] * 0.01) * self.stall[:k]
+            if fired.any():
+                x0[fired] = self.rng.uniform(self.objective.lower, self.objective.upper,
+                                             (int(fired.sum()), d))
+        pulls = [self._pull(target, rows[:, m + 1:m + 2] * r[:, m * d:(m + 1) * d], x0)
+                 for m, target in enumerate(targets)]
+        if targets[0] == "pbest":  # a leading pbest term joins the inertia term once
+            wv = wv + pulls.pop(0)(slice(None), x0)
 
         def land(s):
-            x = x0[s]
-            self._fly(s, x, own[s] + social[s] * (self.gbest_pos - x))
-
-        return self._land_in_order(k, land)
-
-    def clpso_step(self, coeffs) -> bool:
-        """One comprehensive-learning iteration: each particle reads the
-        inertia w and the learning coefficient c1 of its subgroup's row."""
-        k, x0, rows, wv = self._begin(coeffs)
-        cr = rows[:, 1:2] * self.rng.random((k, self.dim))
-
-        def land(s):
-            x = x0[s]
-            self._fly(s, x, wv[s] + cr[s] * (self._exemplar_target(s) - x))
-
-        return self._land_in_order(k, land)
-
-    def rlpso_step(self, coeffs) -> bool:
-        """One RLPSO iteration: exemplar + gbest + own-pbest velocity terms,
-        then a stall-gated mutation that may reinitialize the position."""
-        k, x0, rows, wv = self._begin(coeffs)
-        d = self.dim
-        coeff = np.repeat(rows[:, 1:4], d, axis=1)  # c1 | c2 | c3, one column per draw
-        r = self.rng.random((k, 3 * d + 1))  # r1 | r2 | r3 | mutation draw
-        fired = r[:, 3 * d] < (rows[:, 4] * 0.01) * self.stall[:k]
-        if fired.any():
-            x0[fired] = self.rng.uniform(self.objective.lower, self.objective.upper,
-                                         (int(fired.sum()), d))
-        r[:, :3 * d] *= coeff
-
-        def land(s):
-            x, q = x0[s], r[s]
-            v = ((wv[s] + q[:, :d] * (self._exemplar_target(s) - x))
-                 + q[:, d:2 * d] * (self.gbest_pos - x)) \
-                + q[:, 2 * d:3 * d] * (self.pbest_pos[s] - x)
-            v[fired[s]] = 0.0  # a zero velocity lands the in-box mutant exactly where drawn
+            x, v = x0[s], wv[s]
+            for pull in pulls:
+                v = v + pull(s, x)
+            if mutates:
+                v[fired[s]] = 0.0  # a zero velocity lands the in-box mutant exactly where drawn
             self._fly(s, x, v)
 
-        return self._land_in_order(k, land)
+        start_best = self.gbest_fit
+        land(slice(0, k))
+        for j in range(k):
+            stale = self._record(j, k)
+            if stale is not None:
+                land(stale)
+        if self.gbest_fit < start_best:
+            self.last_improve_eval = self.eval_count
+            return True
+        return False
+
+    pso_step = clpso_step = rlpso_step = _step
+
+    def _pull(self, target: str, cr: np.ndarray, x0: np.ndarray):
+        """The velocity term toward ``target`` of the particles starting at
+        ``x0``, each with its coefficient-times-draws row in ``cr``, as
+        ``pull(rows, x)`` for particles ``rows`` at ``x``.  A particle's own
+        pbest cannot move before its turn, so that term is computed once."""
+        if target == "pbest":
+            term = cr * (self.pbest_pos[:len(x0)] - x0)
+            return lambda s, x: term[s]
+        if target == "gbest":
+            return lambda s, x: cr[s] * (self.gbest_pos - x)
+        return lambda s, x: cr[s] * (self.pbest_pos[self.exemplar[s], self._dims] - x)
 
 
 def drive(swarm: Swarm, controller, on_step=None) -> RunRecord:

@@ -281,17 +281,42 @@ class TestBench:
 class TestBlasThreads:
     _VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-    def _threads_seen(self, **preset):
+    def _run(self, code, **preset):
         env = {k: v for k, v in os.environ.items() if k not in self._VARS}
         env.update(preset, PYTHONPATH=str(Path(rlapso.__file__).resolve().parents[1]))
-        code = ("import os, sys, rlapso; assert 'numpy' in sys.modules; "
-                f"print(','.join(os.environ[v] for v in {self._VARS!r}))")
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True, timeout=120)
-        return done.stdout.strip().split(",")
+        return done.stdout
+
+    def _threads_seen(self, **preset):
+        code = ("import os, sys, rlapso; assert 'numpy' in sys.modules; "
+                f"print(','.join(os.environ[v] for v in {self._VARS!r}))")
+        return self._run(code, **preset).strip().split(",")
+
+    def _import_warnings(self, modules, **preset):
+        """The RuntimeWarnings raised by ``import <modules>``, one per line."""
+        code = ("import warnings\n"
+                "with warnings.catch_warnings(record=True) as caught:\n"
+                "    warnings.simplefilter('always')\n"
+                f"    import {modules}\n"
+                "for w in caught:\n"
+                "    if issubclass(w.category, RuntimeWarning):\n"
+                "        print(w.message)\n")
+        return self._run(code, **preset).splitlines()
 
     def test_unset_thread_counts_default_to_one(self):
         assert self._threads_seen() == ["1", "1", "1"]
 
     def test_explicit_thread_counts_win(self):
         assert self._threads_seen(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="3") == ["3", "2", "1"]
+
+    def test_numpy_imported_first_warns(self):
+        [message] = self._import_warnings("numpy, rlapso")
+        assert "before numpy loads" in message
+        assert all(var in message for var in self._VARS)
+
+    def test_rlapso_imported_first_does_not_warn(self):
+        assert self._import_warnings("rlapso, numpy") == []
+
+    def test_exported_thread_count_does_not_warn(self):
+        assert self._import_warnings("numpy, rlapso", OPENBLAS_NUM_THREADS="1") == []

@@ -57,6 +57,19 @@ class TestInit:
         assert swarm.eval_count == swarm.last_improve_eval == 6
         assert not swarm.stall.any()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("variant", ["pso", "clpso", "rlpso"])
+    def test_no_finite_initial_value_rejected(self, variant, value):
+        class NonFinite(CountingObjective):
+            def evaluate(self, x):
+                self.calls += 1
+                return value
+
+        obj = NonFinite(flat_objective(3))
+        with pytest.raises(ValueError, match="no finite value at any of the 6 initial"):
+            Swarm(obj, 6, 100, seed=4, variant=variant)
+        assert obj.calls == 6
+
     def test_seed_determinism(self):
         obj = make_objective("griewank", 5, 4)
         a = Swarm(obj, 10, 500, seed=9)
@@ -619,6 +632,26 @@ class TestStepTable:
             swarm.step(np.array(const_coeffs(0.7, 1.5, 1.5, groups=rows)))
         assert swarm.eval_count == 10
         assert np.array_equal(swarm.positions, before)
+
+
+    @pytest.mark.parametrize("variant", ["pso", "clpso", "rlpso"])
+    @pytest.mark.parametrize("column", range(5))
+    def test_reads_exactly_its_columns(self, variant, column):
+        """pso reads w, c1 and c2; clpso w and c1; rlpso all five.  The changed
+        c4 fires the mutation gate for every stalled particle."""
+        reads = {"pso": {0, 1, 2}, "clpso": {0, 1}, "rlpso": {0, 1, 2, 3, 4}}[variant]
+        base = np.array(const_coeffs(0.729, 1.494, 1.494, c3=1.0, c4=0.0))
+        changed = base.copy()
+        changed[:, column] = 100.0 if column == 4 else base[:, column] + 0.25
+        swarms = [Swarm(make_objective("rastrigin", 10, 3), 40, 10_000, seed=5,
+                        variant=variant) for _ in range(2)]
+        for _ in range(12):
+            for swarm, table in zip(swarms, (base, changed)):
+                swarm.step(table)
+        same = np.array_equal(swarms[0].positions, swarms[1].positions)
+        assert same == (column not in reads)
+        if column == 4 and variant != "pso":
+            assert swarms[0].stall.max() > 0
 
 
 class TestDrive:

@@ -8,9 +8,10 @@ The script extracts ``src/rlapso`` of PARENT_REF with ``git archive`` into
 a temporary directory and imports it as ``rlapso_ref``, next to this working
 tree's ``rlapso``.  Each case runs 40 blocks.  A block builds a fresh
 instance of the unit per tree from seed ``SEED + block`` and drives both on
-identical inputs: per tree, the build, one untimed warm-up batch of 10 calls
-and one timed batch of 10 calls run back to back, and the tree that goes
-first alternates from block to block.  After each block the two sides'
+identical inputs: per tree, the build, one untimed warm-up batch and one
+timed batch of the case's calls run back to back, and the tree that goes
+first alternates from block to block.  A batch is sized to last a few
+milliseconds, so a short host hiccup moves few blocks.  After each block the two sides'
 states must be equal, or the script stops with an error.  So the blocks are
 independent pairs of instances: a cost that belongs to one instance, such as
 where its arrays landed in memory, shows in one block only.  The cases:
@@ -18,13 +19,14 @@ where its arrays landed in memory, shows in one block only.  The cases:
 * ``pso_step``, ``clpso_step`` and ``rlpso_step``, 40 particles at 10-D on
   rastrigin and on sphere, each stepped with one coefficient table through
   ``Swarm.step``, the call ``drive`` makes, so the variant dispatch is
-  timed too; the swarms' positions must agree.
+  timed too; the swarms' positions must agree.  10 steps per batch.
 * The ``PolicyController`` call of an untrained pso actor, absolute and
   relative mode, on a 40 x 10-D rastrigin swarm that each side steps with
-  the table its controller returned.  Only the controller call is timed; the
-  tables and the positions must agree.
+  the table its controller returned.  Only the controller calls are timed,
+  50 per batch; the tables and the positions must agree.
 * ``DdpgAgent.train_step`` of two agents seeded alike, whose buffers hold
-  the same 2000 transitions; every network's ``params`` must agree.
+  the same 2000 transitions; every network's ``params`` must agree.  10
+  calls per batch.
 
 It prints, per case, each side's median time per unit over the blocks, the
 median over the blocks of this tree's time relative to the ref's in the same
@@ -55,11 +57,14 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 N, DIM, SEED = 40, 10, 6
-BLOCKS, BLOCK_CALLS = 40, 10
+BLOCKS = 40
+# calls per batch, each batch a few milliseconds
+STEP_CALLS, POLICY_CALLS, TRAIN_CALLS = 10, 50, 10
 TRANSITIONS = 2000
 # w, c1, c2, c3, c4 for every subgroup; c4 > 0 lets RLPSO mutate
 ROW = (0.729, 1.494, 1.494, 1.0, 1.0)
-T_MAX = 2 * BLOCK_CALLS  # a fresh unit's warm-up batch, then its timed batch
+# a fresh unit's warm-up batch, then its timed batch, of the largest size
+T_MAX = 2 * max(STEP_CALLS, POLICY_CALLS, TRAIN_CALLS)
 BUDGET = N * (1 + T_MAX)
 
 
@@ -79,7 +84,7 @@ def import_ref(ref: str, into: str):
 
 
 # Each case builder takes one tree's package, its case arguments and a seed,
-# and returns (block, state) for a fresh unit: ``block()`` makes BLOCK_CALLS
+# and returns (block, state) for a fresh unit: ``block()`` makes one batch of
 # calls of the unit and returns the seconds they took; ``state()`` is what
 # must agree between the trees afterwards.
 
@@ -90,7 +95,7 @@ def swarm_step(pkg, variant: str, function: str, seed: int):
 
     def block():
         start = time.perf_counter()
-        for _ in range(BLOCK_CALLS):
+        for _ in range(STEP_CALLS):
             swarm.step(table)
         return time.perf_counter() - start
 
@@ -107,7 +112,7 @@ def policy_call(pkg, mode: str, seed: int):
 
     def block():
         spent = 0.0
-        for _ in range(BLOCK_CALLS):
+        for _ in range(POLICY_CALLS):
             t = next(calls)
             start = time.perf_counter()
             last[0] = controller(swarm, t, T_MAX)
@@ -128,7 +133,7 @@ def train_step(pkg, seed: int):
 
     def block():
         start = time.perf_counter()
-        for _ in range(BLOCK_CALLS):
+        for _ in range(TRAIN_CALLS):
             agent.train_step()
         return time.perf_counter() - start
 
@@ -136,16 +141,16 @@ def train_step(pkg, seed: int):
     return block, lambda: [net.params for net in nets]
 
 
-# (label, builder, arguments, per-call scale, unit)
-CASES = [(f"{variant}_step {function}", swarm_step, (variant, function), 1e6 / N,
-          "us/particle")
+# (label, builder, arguments, calls per batch, per-call scale, unit)
+CASES = [(f"{variant}_step {function}", swarm_step, (variant, function), STEP_CALLS,
+          1e6 / N, "us/particle")
          for variant in ("pso", "clpso", "rlpso") for function in ("rastrigin", "sphere")]
-CASES += [(f"policy call {mode}", policy_call, (mode,), 1e6, "us/call")
+CASES += [(f"policy call {mode}", policy_call, (mode,), POLICY_CALLS, 1e6, "us/call")
           for mode in ("absolute", "relative")]
-CASES += [("train_step", train_step, (), 1e3, "ms/call")]
+CASES += [("train_step", train_step, (), TRAIN_CALLS, 1e3, "ms/call")]
 
 
-def run_case(packages, builder, args):
+def run_case(packages, builder, args, calls):
     """Drive a fresh unit per package in lockstep for every block; returns
     each side's timed batches in seconds per call."""
     times, states = [[], []], [None, None]
@@ -155,7 +160,7 @@ def run_case(packages, builder, args):
         for side in ((0, 1) if n % 2 == 0 else (1, 0)):
             block, states[side] = builder(packages[side], *args, SEED + n)
             block()  # the untimed warm-up batch
-            times[side].append(block() / BLOCK_CALLS)
+            times[side].append(block() / calls)
         for a, b in zip(states[0](), states[1]()):
             if not np.array_equal(a, b):
                 raise AssertionError(f"{builder.__name__}{args}: the trees differ after "
@@ -174,9 +179,9 @@ def main(argv=None) -> int:
         ref = import_ref(args.parent_ref, tmp)
         print(f"lockstep: {args.parent_ref} (ref) against the working tree (this); "
               f"{BLOCKS} alternating blocks of fresh units, each one warm-up and one "
-              f"timed batch of {BLOCK_CALLS} calls; median time per unit")
-        for label, builder, case_args, scale, unit in CASES:
-            ref_t, this_t = run_case((ref, rlapso), builder, case_args)
+              f"timed batch; median time per unit")
+        for label, builder, case_args, calls, scale, unit in CASES:
+            ref_t, this_t = run_case((ref, rlapso), builder, case_args, calls)
             ref_med = statistics.median(ref_t) * scale
             this_med = statistics.median(this_t) * scale
             this_won = sum(b < a for a, b in zip(ref_t, this_t))
