@@ -633,7 +633,6 @@ class TestStepTable:
         assert swarm.eval_count == 10
         assert np.array_equal(swarm.positions, before)
 
-
     @pytest.mark.parametrize("variant", ["pso", "clpso", "rlpso"])
     @pytest.mark.parametrize("column", range(5))
     def test_reads_exactly_its_columns(self, variant, column):

@@ -11,10 +11,11 @@ instance of the unit per tree from seed ``SEED + block`` and drives both on
 identical inputs: per tree, the build, one untimed warm-up batch and one
 timed batch of the case's calls run back to back, and the tree that goes
 first alternates from block to block.  A batch is sized to last a few
-milliseconds, so a short host hiccup moves few blocks.  After each block the two sides'
-states must be equal, or the script stops with an error.  So the blocks are
-independent pairs of instances: a cost that belongs to one instance, such as
-where its arrays landed in memory, shows in one block only.  The cases:
+milliseconds, so a short host hiccup moves few blocks.  After each block the
+two sides' states must be equal, or the script stops with an error.  So the
+blocks are independent pairs of instances: a cost that belongs to one
+instance, such as where its arrays landed in memory, shows in one block
+only.  The cases:
 
 * ``pso_step``, ``clpso_step`` and ``rlpso_step``, 40 particles at 10-D on
   rastrigin and on sphere, each stepped with one coefficient table through
