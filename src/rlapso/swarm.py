@@ -235,22 +235,6 @@ class Swarm:
 
     # -- the step -------------------------------------------------------------
 
-    def _fly(self, rows, x: np.ndarray, v: np.ndarray) -> None:
-        """Clamp velocities ``v`` to the speed limit in place, then land the
-        particles ``rows`` (an index, a slice or an index array) at ``x + v``,
-        clamped to bounds with the clamped velocity components zeroed."""
-        np.maximum(v, -self.v_max, out=v)
-        np.minimum(v, self.v_max, out=v)
-        x = x + v
-        lower, upper = self.objective.lower, self.objective.upper
-        out = (x < lower) | (x > upper)
-        if out.any():
-            np.maximum(x, lower, out=x)
-            np.minimum(x, upper, out=x)
-            v[out] = 0.0
-        self.positions[rows] = x
-        self.velocities[rows] = v
-
     def _record(self, j: int, k: int):
         """Particle j's turn: evaluate it, update its pbest and, independently,
         the gbest, and where the exemplar is a target count a stall if the
@@ -295,8 +279,11 @@ class Swarm:
         docstring) with ``coeffs``, a float64 table of one row per subgroup;
         returns whether the global best improved.
 
-        Evaluation stops mid-iteration if the budget runs out (remaining
-        particles are left untouched).
+        ``land(s)`` lands particles ``s`` and reads each target where they
+        land: the pbest as ``pbest_pos[s]``, the gbest as ``gbest_pos`` and
+        the exemplar as the pbests ``exemplar[s]`` names.  Evaluation stops
+        mid-iteration if the budget runs out (remaining particles are left
+        untouched).
         """
         table = np.asarray(coeffs, dtype=float)
         if table.shape != (SUBGROUPS, 5):
@@ -309,25 +296,37 @@ class Swarm:
         rows, x0 = table[self._group[:k]], self.positions[:k].copy()
         wv = rows[:, 0:1] * self.velocities[:k]
         d, targets = self.dim, self._targets
+        lower, upper = self.objective.lower, self.objective.upper
         mutates = self.variant == "rlpso"
         r = self.rng.random((k, len(targets) * d + mutates))
         if mutates:
             fired = r[:, -1] < (rows[:, 4] * 0.01) * self.stall[:k]
             if fired.any():
-                x0[fired] = self.rng.uniform(self.objective.lower, self.objective.upper,
-                                             (int(fired.sum()), d))
-        pulls = [self._pull(target, rows[:, m + 1:m + 2] * r[:, m * d:(m + 1) * d], x0)
-                 for m, target in enumerate(targets)]
-        if targets[0] == "pbest":  # a leading pbest term joins the inertia term once
-            wv = wv + pulls.pop(0)(slice(None), x0)
+                x0[fired] = self.rng.uniform(lower, upper, (int(fired.sum()), d))
+        crs = r[:, :len(targets) * d].reshape(k, -1, d) * rows[:, 1:len(targets) + 1, None]
 
         def land(s):
-            x, v = x0[s], wv[s]
-            for pull in pulls:
-                v = v + pull(s, x)
+            x, v, cr = x0[s], wv[s], crs[s]
+            for m, target in enumerate(targets):
+                if target == "pbest":
+                    t = self.pbest_pos[s]
+                elif target == "gbest":
+                    t = self.gbest_pos
+                else:
+                    t = self.pbest_pos[self.exemplar[s], self._dims]
+                v = v + cr[:, m] * (t - x)
             if mutates:
                 v[fired[s]] = 0.0  # a zero velocity lands the in-box mutant exactly where drawn
-            self._fly(s, x, v)
+            np.maximum(v, -self.v_max, out=v)
+            np.minimum(v, self.v_max, out=v)
+            x = x + v
+            out = (x < lower) | (x > upper)
+            if out.any():
+                np.maximum(x, lower, out=x)
+                np.minimum(x, upper, out=x)
+                v[out] = 0.0
+            self.positions[s] = x
+            self.velocities[s] = v
 
         start_best = self.gbest_fit
         land(slice(0, k))
@@ -341,18 +340,6 @@ class Swarm:
         return False
 
     pso_step = clpso_step = rlpso_step = _step
-
-    def _pull(self, target: str, cr: np.ndarray, x0: np.ndarray):
-        """The velocity term toward ``target`` of the particles starting at
-        ``x0``, each with its coefficient-times-draws row in ``cr``, as
-        ``pull(rows, x)`` for particles ``rows`` at ``x``.  A particle's own
-        pbest cannot move before its turn, so that term is computed once."""
-        if target == "pbest":
-            term = cr * (self.pbest_pos[:len(x0)] - x0)
-            return lambda s, x: term[s]
-        if target == "gbest":
-            return lambda s, x: cr[s] * (self.gbest_pos - x)
-        return lambda s, x: cr[s] * (self.pbest_pos[self.exemplar[s], self._dims] - x)
 
 
 def drive(swarm: Swarm, controller, on_step=None) -> RunRecord:

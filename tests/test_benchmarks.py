@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rlapso.benchmarks import FUNCTIONS, Objective, make_objective
+from rlapso.benchmarks import FUNCTIONS, Objective, _elliptic_weights, make_objective
 
 NON_COMPOSITION = [fn for fn in FUNCTIONS if fn != "composition"]
 
@@ -134,3 +134,57 @@ class TestInvariants:
         obj = make_objective("sphere", 4, 9)
         with pytest.raises(ValueError):
             obj.shift[0] = 0.0
+
+
+ROTATED = [fn for fn, spec in FUNCTIONS.items() if spec.rotated and fn != "composition"]
+
+
+class TestStackedKernelsMatchRows:
+    """Pins a numpy/BLAS property, not rlapso code: stacked ``np.matmul``
+    calls and last-axis reductions over k rows give each row the bits of
+    the 1-D call on that row alone.  ROADMAP item 7 relies on it to evaluate
+    landed rows in blocks and stay bit-identical to ``evaluate``.  (One gemm,
+    ``Z @ R.T``, does not give those bits.)"""
+
+    @staticmethod
+    def rows(obj, k):
+        rng = np.random.default_rng(obj.dim * 100 + k)
+        return rng.uniform(obj.lower, obj.upper, (k, obj.dim)) - obj.shift
+
+    @pytest.mark.parametrize("k", [1, 7, 40])
+    @pytest.mark.parametrize("dim", [2, 10, 30])
+    def test_stacked_gemv(self, dim, k):
+        for fn in ROTATED:
+            obj = make_objective(fn, dim, 606)
+            z = self.rows(obj, k)
+            stacked = np.matmul(obj.rotation, z[..., None])[..., 0]
+            for i in range(k):
+                assert np.array_equal(stacked[i], obj.rotation @ z[i]), fn
+
+    @pytest.mark.parametrize("k", [1, 7, 40])
+    @pytest.mark.parametrize("dim", [2, 10, 30])
+    def test_composition_rotations_in_one_call(self, dim, k):
+        obj = make_objective("composition", dim, 606)
+        shifts = np.stack((obj.shift, *obj.extra_shifts))
+        rotations = np.stack((obj.rotation, *obj.extra_rotations))
+        rng = np.random.default_rng(dim * 100 + k)
+        z = rng.uniform(obj.lower, obj.upper, (k, 1, dim)) - shifts
+        stacked = np.matmul(rotations, z[..., None])[..., 0]
+        for i in range(k):
+            for m in range(len(rotations)):
+                assert np.array_equal(stacked[i, m], rotations[m] @ z[i, m])
+
+    @pytest.mark.parametrize("k", [1, 7, 40])
+    @pytest.mark.parametrize("dim", [2, 10, 30])
+    def test_stacked_dots_and_reductions(self, dim, k):
+        obj = make_objective("elliptic", dim, 606)
+        z = self.rows(obj, k)
+        weights = _elliptic_weights(dim)
+        dots = np.matmul(z[:, None, :], z[..., None])[:, 0, 0]
+        weighted = np.matmul(weights[None, None, :], (z * z)[..., None])[:, 0, 0]
+        sums, prods = z.sum(-1), np.cos(z / 50).prod(-1)
+        for i in range(k):
+            assert dots[i] == z[i] @ z[i]
+            assert weighted[i] == weights @ (z[i] * z[i])
+            assert sums[i] == z[i].sum()
+            assert prods[i] == np.cos(z[i] / 50).prod()

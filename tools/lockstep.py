@@ -31,11 +31,14 @@ only.  The cases:
 
 It prints, per case, each side's median time per unit over the blocks, the
 median over the blocks of this tree's time relative to the ref's in the same
-block, and the number of blocks each side was faster in.  Both trees run in
-one process on one trajectory, so a change in host speed that lasts longer
-than a block slows both sides alike.  Run against the working tree's own commit, the
-split shows the tool's spread on identical code.  End-to-end claims belong
-to ``perfbench``; this covers the per-layer ones it cannot resolve.
+block with a 95 % bootstrap interval of that median (2000 resamples of the
+40 block ratios, from a generator seeded with ``BOOTSTRAP_SEED`` and used
+for nothing else), and the number of blocks each side was faster in.  Both
+trees run in one process on one trajectory, so a change in host speed that
+lasts longer than a block slows both sides alike.  Run against the working
+tree's own commit, the split and the interval show the tool's spread on
+identical code.  End-to-end claims belong to ``perfbench``; this covers the
+per-layer ones it cannot resolve.
 """
 import os
 
@@ -67,6 +70,7 @@ ROW = (0.729, 1.494, 1.494, 1.0, 1.0)
 # a fresh unit's warm-up batch, then its timed batch, of the largest size
 T_MAX = 2 * max(STEP_CALLS, POLICY_CALLS, TRAIN_CALLS)
 BUDGET = N * (1 + T_MAX)
+RESAMPLES, BOOTSTRAP_SEED = 2000, 0
 
 
 def import_ref(ref: str, into: str):
@@ -169,6 +173,14 @@ def run_case(packages, builder, args, calls):
     return times
 
 
+def paired_interval(ratios) -> tuple:
+    """The 95 % bootstrap interval of the median of the block ratios."""
+    ratios = np.asarray(ratios)
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    medians = np.median(ratios[rng.integers(0, ratios.size, (RESAMPLES, ratios.size))], axis=1)
+    return tuple(np.percentile(medians, (2.5, 97.5)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_ref", metavar="PARENT_REF", help="git ref to compare against")
@@ -186,9 +198,11 @@ def main(argv=None) -> int:
             ref_med = statistics.median(ref_t) * scale
             this_med = statistics.median(this_t) * scale
             this_won = sum(b < a for a, b in zip(ref_t, this_t))
-            paired = statistics.median(b / a for a, b in zip(ref_t, this_t))
+            ratios = [b / a for a, b in zip(ref_t, this_t)]
+            paired, (low, high) = statistics.median(ratios), paired_interval(ratios)
             print(f"{label:<20} ref {ref_med:7.2f}  this {this_med:7.2f} {unit:<11} "
-                  f"(paired {(paired - 1) * 100:+5.1f} %)  "
+                  f"(paired {(paired - 1) * 100:+5.1f} % "
+                  f"[{(low - 1) * 100:+5.1f}, {(high - 1) * 100:+5.1f}])  "
                   f"faster blocks: ref {BLOCKS - this_won}, this {this_won}")
     return 0
 
