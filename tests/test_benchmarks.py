@@ -6,6 +6,7 @@ import pytest
 from rlapso.benchmarks import FUNCTIONS, Objective, _elliptic_weights, make_objective
 
 NON_COMPOSITION = [fn for fn in FUNCTIONS if fn != "composition"]
+ROTATED = [fn for fn, spec in FUNCTIONS.items() if spec.rotated and fn != "composition"]
 
 
 class TestMakeObjective:
@@ -134,9 +135,6 @@ class TestInvariants:
         obj = make_objective("sphere", 4, 9)
         with pytest.raises(ValueError):
             obj.shift[0] = 0.0
-
-
-ROTATED = [fn for fn, spec in FUNCTIONS.items() if spec.rotated and fn != "composition"]
 
 
 class TestStackedKernelsMatchRows:
