@@ -123,10 +123,9 @@ def _cmd_bench() -> int:
 
     obj = make_objective("sphere", 2, seed=5)
     passed = True
-    rlpso_agent = DdpgAgent(action_width("rlpso"), seed=12)
-    for variant, controller in (harness._ALGORITHM_TABLE[a] for a in ("pso", "clpso", "rlpso")):
-        if isinstance(controller, str):  # rlpso: the table names its policy's mode
-            controller = ddpg.PolicyController(rlpso_agent, controller, variant)
+    rlpso_model = (DdpgAgent(action_width("rlpso"), seed=12), {})
+    for algorithm, model in (("pso", None), ("clpso", None), ("rlpso", rlpso_model)):
+        variant, controller = harness.controller_for(algorithm, model)
         swarm = Swarm(obj, 10, 400, seed=3, variant=variant)
         curve = drive(swarm, controller).curve
         fits = [fit for _, fit in curve]

@@ -199,9 +199,10 @@ def coefficient_sets(action, mode: str, variant: str) -> np.ndarray:
     """Map a full action vector to the (subgroups, 5) coefficient table, one
     row per subgroup's slice (see the module docstring)."""
     action = np.asarray(action, dtype=float)
-    width = GROUP_WIDTH[variant]
-    if action.shape != (width * SUBGROUPS,):
-        raise ValueError(f"expected action of length {action_width(variant)}, got {action.shape}")
+    expected = action_width(variant)
+    if action.shape != (expected,):
+        raise ValueError(f"expected action of length {expected}, got {action.shape}")
+    width = expected // SUBGROUPS
     slices = action.reshape(SUBGROUPS, width)
     table = np.zeros((SUBGROUPS, 5))
     if mode == "absolute":

@@ -117,15 +117,15 @@ def normalized_pairs(a_values, b_values) -> tuple[np.ndarray, np.ndarray]:
 
 # -- single runs -------------------------------------------------------------
 
-def run_single(algorithm: str, function: str, dim: int, fn_seed: int, budget: int,
-               run_seed: int, particles: int = 40, model=None) -> RunRecord:
-    """Execute one run of one algorithm and return its record."""
+def controller_for(algorithm: str, model=None) -> tuple:
+    """``algorithm``'s swarm variant and controller.  A model-driven
+    algorithm needs ``model``, a path or a ``(policy, meta)`` pair, checked
+    against the algorithm; a schedule algorithm refuses one."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
     if model is not None and not _needs_model(algorithm):
         raise ValueError(f"algorithm {algorithm!r} reads no model")
     variant, controller = _ALGORITHM_TABLE[algorithm]
-    objective = make_objective(function, dim, fn_seed)
     if _needs_model(algorithm):
         if model is None:
             raise ValueError(f"algorithm {algorithm!r} needs a trained model file")
@@ -133,6 +133,14 @@ def run_single(algorithm: str, function: str, dim: int, fn_seed: int, budget: in
         policy, meta = model if isinstance(model, tuple) else ddpg.load_model(model)
         ddpg.check_model(policy, meta, mode, variant, algorithm)
         controller = ddpg.PolicyController(policy, mode, variant)
+    return variant, controller
+
+
+def run_single(algorithm: str, function: str, dim: int, fn_seed: int, budget: int,
+               run_seed: int, particles: int = 40, model=None) -> RunRecord:
+    """Execute one run of one algorithm and return its record."""
+    variant, controller = controller_for(algorithm, model)
+    objective = make_objective(function, dim, fn_seed)
     return drive(Swarm(objective, particles, budget, run_seed, variant=variant), controller)
 
 
@@ -336,8 +344,7 @@ def run_experiment(config: ExperimentConfig, quiet: bool = True):
     model_algorithms = [a for a in config.algorithms if _needs_model(a)]
     model = ddpg.load_model(config.model) if model_algorithms else None
     for alg in model_algorithms:
-        variant, mode = _ALGORITHM_TABLE[alg]
-        ddpg.check_model(*model, mode, variant, alg)
+        controller_for(alg, model)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []

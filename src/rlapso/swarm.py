@@ -203,7 +203,7 @@ class Swarm:
             raise ValueError(f"the objective returned no finite value at any of the "
                              f"{n} initial positions")
         self.last_improve_eval = n
-        if "exemplar" in self._targets:
+        if self._reads_exemplars:
             for i in range(n):
                 self.assign_exemplar(i)
 

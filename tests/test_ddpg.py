@@ -44,14 +44,14 @@ class TestObserve:
 
     def test_stagnation_zero_after_improving_iteration(self):
         swarm = Swarm(flat_objective(2), 10, 500, seed=4)
-        improved = swarm.pso_step([CoefficientSet(0.7, 1.5, 1.5)] * 5)
+        improved = swarm.step([CoefficientSet(0.7, 1.5, 1.5)] * 5)
         assert improved
         assert observe(swarm).stagnation_frac == 0.0
 
     def test_stagnation_grows_when_frozen(self):
         swarm = Swarm(flat_objective(2), 10, 500, seed=5)
         for _ in range(3):
-            swarm.pso_step([CoefficientSet(0.0, 0.0, 0.0)] * 5)  # frozen: never improves
+            swarm.step([CoefficientSet(0.0, 0.0, 0.0)] * 5)  # frozen: never improves
         assert observe(swarm).stagnation_frac == 30 / 500
 
 
@@ -405,6 +405,20 @@ class TestCoefficientPlumbing:
         with pytest.raises(ValueError, match="length"):
             coefficient_sets(np.zeros(19), "absolute", "pso")
 
+    @pytest.mark.parametrize("mode", ["absolute", "relative"])
+    def test_unadapted_variant_rejected_by_name(self, mode):
+        message = "^no policy adapts variant 'clpso'$"
+        with pytest.raises(ValueError, match=message):
+            coefficient_sets(np.zeros(20), mode, "clpso")
+
+        class ZeroPolicy:
+            def act(self, state, explore):
+                return np.zeros(20)
+
+        controller = PolicyController(ZeroPolicy(), mode, "clpso")
+        with pytest.raises(ValueError, match=message):
+            controller(Swarm(flat_objective(2), 10, 1000, seed=1, variant="clpso"), 0, 100)
+
     def test_baseline_origin_for_pso_is_constant_schedule(self):
         class ZeroPolicy:
             def act(self, state, explore):
@@ -540,7 +554,7 @@ class TestAdaptedRun:
         obj = make_objective("sphere", 3, 79)
         seed = 5
         mirror = Swarm(obj, 10, 200, seed, variant="pso")
-        mirror.pso_step([expected] * 5)
+        mirror.step([expected] * 5)
         rec = adapted_run(agent, obj, "pso", "absolute", 80, seed, n_particles=10)
         assert rec.curve[1][1] == mirror.gbest_fit
 

@@ -419,27 +419,32 @@ class TestModelContract:
 
 
 class TestControllerContract:
-    """Every algorithm's controller returns a (5, 5) coefficient table and
-    tags its records as it always has."""
+    """Every algorithm resolves to its swarm variant and to a controller that
+    returns a (5, 5) coefficient table and tags its records as it always has."""
 
-    ADAPTER_TAGS = {"pso": "none", "pso-linear": "linear_dec_w", "pso-tvac": "tvac",
-                    "clpso": "linear_dec_w", "rlam-absolute": "rlam-absolute",
-                    "rlam-relative": "rlam-relative", "rlpso": "rlam-absolute"}
+    # algorithm: (swarm variant, adapter tag, reads a model)
+    EXPECTED = {"pso": ("pso", "none", False),
+                "pso-linear": ("pso", "linear_dec_w", False),
+                "pso-tvac": ("pso", "tvac", False),
+                "clpso": ("clpso", "linear_dec_w", False),
+                "rlam-absolute": ("pso", "rlam-absolute", True),
+                "rlam-relative": ("pso", "rlam-relative", True),
+                "rlpso": ("rlpso", "rlam-absolute", True)}
 
     def test_tags_cover_every_algorithm(self):
-        assert set(self.ADAPTER_TAGS) == set(ALGORITHMS)
+        assert set(self.EXPECTED) == set(ALGORITHMS)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_table_at_first_and_last_iteration(self, algorithm):
-        from rlapso import harness
         from rlapso.benchmarks import make_objective
-        from rlapso.ddpg import DdpgAgent, PolicyController, action_width
+        from rlapso.ddpg import DdpgAgent, action_width
+        from rlapso.harness import controller_for
         from rlapso.swarm import Swarm
 
-        variant, controller = harness._ALGORITHM_TABLE[algorithm]
-        if isinstance(controller, str):  # the mode of a model-driven algorithm
-            controller = PolicyController(DdpgAgent(action_width(variant), seed=6),
-                                          controller, variant)
+        expected_variant, tag, reads_model = self.EXPECTED[algorithm]
+        model = (DdpgAgent(action_width(expected_variant), seed=6), {}) if reads_model else None
+        variant, controller = controller_for(algorithm, model)
+        assert variant == expected_variant
         swarm = Swarm(make_objective("rastrigin", 10, 5), 40, 1000, seed=7, variant=variant)
         t_max = 1000 // 40 - 1
         for t in (0, t_max):
@@ -448,4 +453,4 @@ class TestControllerContract:
             assert table.dtype == np.float64 and table.shape == (5, 5)
             assert np.all(np.isfinite(table))
             assert np.all((table[:, 0] >= 0.05) & (table[:, 0] <= 1.2))
-        assert controller.adapter == self.ADAPTER_TAGS[algorithm]
+        assert controller.adapter == tag

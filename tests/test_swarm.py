@@ -97,30 +97,30 @@ class TestPsoStep:
         swarm = Swarm(flat_objective(3), 5, 1000, seed=8)
         swarm.velocities[:] = 0.5  # small, so no clamping triggers
         before = swarm.positions.copy()
-        swarm.pso_step(const_coeffs(1.0, 0.0, 0.0))
+        swarm.step(const_coeffs(1.0, 0.0, 0.0))
         assert np.array_equal(swarm.positions, before + 0.5)
 
     def test_particle_at_gbest_gets_zero_velocity(self):
         swarm = Swarm(flat_objective(2), 5, 1000, seed=2)
         # particle 0 is stepped first, before anything can move gbest
         swarm.positions[0] = swarm.gbest_pos.copy()
-        swarm.pso_step(const_coeffs(0.0, 0.0, 2.0))
+        swarm.step(const_coeffs(0.0, 0.0, 2.0))
         assert np.array_equal(swarm.velocities[0], np.zeros(2))
 
     def test_wrong_group_count_rejected(self):
         swarm = Swarm(flat_objective(2), 10, 1000, seed=2)
         with pytest.raises(ValueError, match="coefficient sets"):
-            swarm.pso_step(const_coeffs(0.5, 1.0, 1.0, groups=3))
+            swarm.step(const_coeffs(0.5, 1.0, 1.0, groups=3))
 
     def test_budget_exhausted_raises(self):
         swarm = Swarm(flat_objective(2), 5, 5, seed=2)
         with pytest.raises(BudgetExhaustedError):
-            swarm.pso_step(const_coeffs(0.5, 1.0, 1.0))
+            swarm.step(const_coeffs(0.5, 1.0, 1.0))
 
     def test_partial_iteration_stops_at_budget(self):
         swarm = Swarm(flat_objective(2), 5, 8, seed=2)
         before = swarm.positions.copy()
-        swarm.pso_step(const_coeffs(0.5, 1.0, 1.0))
+        swarm.step(const_coeffs(0.5, 1.0, 1.0))
         assert swarm.eval_count == 8
         # particles beyond the budget were not moved
         assert np.array_equal(swarm.positions[3:], before[3:])
@@ -165,7 +165,7 @@ class TestPsoStep:
                 if fit < gbest_fit:
                     gbest_fit = fit
                     gbest_pos = x.copy()
-            swarm.pso_step(const_coeffs(w, c1, c2))
+            swarm.step(const_coeffs(w, c1, c2))
             assert np.array_equal(swarm.positions, pos)
             assert np.array_equal(swarm.velocities, vel)
             assert np.array_equal(swarm.pbest_fit, pbest_fit)
@@ -206,7 +206,7 @@ class TestClpsoStep:
         swarm.positions[:] = np.clip(swarm.positions, -90.0, 90.0)
         swarm.pbest_pos[:] = swarm.positions
         swarm.velocities[:] = 0.5
-        swarm.clpso_step(const_coeffs(0.5, 2.0, 0.0))
+        swarm.step(const_coeffs(0.5, 2.0, 0.0))
         assert np.array_equal(swarm.velocities, np.full((5, 2), 0.25))
 
     def test_zero_learning_coefficient_is_pure_inertia(self):
@@ -214,7 +214,7 @@ class TestClpsoStep:
                       variant="clpso")
         swarm.positions[:] = np.clip(swarm.positions, -90.0, 90.0)
         swarm.velocities[:] = -0.5
-        swarm.clpso_step(const_coeffs(0.7, 0.0, 0.0))
+        swarm.step(const_coeffs(0.7, 0.0, 0.0))
         assert np.array_equal(swarm.velocities, np.full((5, 3), 0.7 * -0.5))
 
     def test_matches_hand_simulated_oracle(self):
@@ -265,7 +265,7 @@ class TestClpsoStep:
                     if stall[i] > m:
                         exemplar[i] = _oracle_assign(exemplar_rng, n, dim, i, pbest_fit)
                         stall[i] = 0
-            swarm.clpso_step(const_coeffs(w, c, 0.0))
+            swarm.step(const_coeffs(w, c, 0.0))
             assert np.array_equal(swarm.positions, pos)
             assert np.array_equal(swarm.velocities, vel)
             assert np.array_equal(swarm.exemplar, exemplar)
@@ -284,20 +284,20 @@ class TestRlpsoStep:
     def test_zero_gate_never_mutates(self):
         swarm = self._frozen_swarm(stall_value=100)
         before = swarm.positions.copy()
-        swarm.rlpso_step(const_coeffs(0.0, 0.0, 0.0, c3=0.0, c4=0.0))
+        swarm.step(const_coeffs(0.0, 0.0, 0.0, c3=0.0, c4=0.0))
         assert np.array_equal(swarm.positions, before)
 
     def test_zero_stall_never_mutates(self):
         swarm = self._frozen_swarm(stall_value=0)
         before = swarm.positions.copy()
-        swarm.rlpso_step(const_coeffs(0.0, 0.0, 0.0, c3=0.0, c4=1.0))
+        swarm.step(const_coeffs(0.0, 0.0, 0.0, c3=0.0, c4=1.0))
         assert np.array_equal(swarm.positions, before)
 
     def test_saturated_gate_always_mutates(self):
         # threshold = 1.0 * 0.01 * 100 = 1.0 > any uniform draw
         swarm = self._frozen_swarm(stall_value=100)
         before = swarm.positions.copy()
-        swarm.rlpso_step(const_coeffs(0.0, 0.0, 0.0, c3=0.0, c4=1.0))
+        swarm.step(const_coeffs(0.0, 0.0, 0.0, c3=0.0, c4=1.0))
         assert np.all(np.any(swarm.positions != before, axis=1))
         assert np.array_equal(swarm.velocities, np.zeros_like(swarm.velocities))
 
@@ -309,7 +309,7 @@ class TestRlpsoStep:
         # collapse every attractor onto the same point: velocity must stay zero
         swarm.positions[:] = swarm.gbest_pos
         swarm.pbest_pos[:] = swarm.gbest_pos
-        swarm.rlpso_step(const_coeffs(0.9, 1.0, 1.0, c3=1.0, c4=0.0))
+        swarm.step(const_coeffs(0.9, 1.0, 1.0, c3=1.0, c4=0.0))
         assert np.array_equal(swarm.velocities, np.zeros_like(swarm.velocities))
 
 
@@ -497,7 +497,7 @@ class TestDrawOrderOracle:
 
     @pytest.mark.parametrize("seed", [31, 32])
     def test_pso(self, seed):
-        oracle = self._run("pso", seed, lambda s: s.pso_step(STRESS_COEFFS), STRESS_COEFFS,
+        oracle = self._run("pso", seed, lambda s: s.step(STRESS_COEFFS), STRESS_COEFFS,
                            stale_gbest=True)
         assert oracle.early_gbest >= 1
 
@@ -509,19 +509,19 @@ class TestDrawOrderOracle:
         swarm = Swarm(make_objective("sphere", 10, 4), 40, 40 * 16, seed=4)
         oracle = _Oracle(swarm)
         for _ in range(15):
-            assert swarm.pso_step(coeffs) == oracle.step("pso", coeffs)
+            assert swarm.step(coeffs) == oracle.step("pso", coeffs)
             self._assert_same(swarm, oracle)
         assert oracle.early_gbest >= 1 and oracle.most_gbest_moves >= 2
 
     @pytest.mark.parametrize("seed", [33, 34])
     def test_clpso(self, seed):
-        oracle = self._run("clpso", seed, lambda s: s.clpso_step(STRESS_COEFFS),
+        oracle = self._run("clpso", seed, lambda s: s.step(STRESS_COEFFS),
                            STRESS_COEFFS)
         assert oracle.reassigned
 
     @pytest.mark.parametrize("seed", [35, 36])
     def test_rlpso(self, seed):
-        oracle = self._run("rlpso", seed, lambda s: s.rlpso_step(STRESS_COEFFS),
+        oracle = self._run("rlpso", seed, lambda s: s.step(STRESS_COEFFS),
                            STRESS_COEFFS)
         assert oracle.mutations and oracle.reassigned
 
@@ -560,7 +560,7 @@ class TestTwoGenerators:
         untouched = _exemplar_rng(7).bit_generator.state
         assert swarm.exemplar_rng.bit_generator.state == untouched
         while swarm.eval_count < swarm.eval_budget:
-            swarm.pso_step(STRESS_COEFFS)
+            swarm.step(STRESS_COEFFS)
             assert swarm.exemplar_rng.bit_generator.state == untouched
 
     def test_exemplar_draws_leave_the_velocity_stream_alone(self):
@@ -571,8 +571,8 @@ class TestTwoGenerators:
             swarm.stall[:] = 100  # every record without improvement reassigns
         coeffs = const_coeffs(0.7, 1.5, 0.0, groups=5)
         while a.eval_count < a.eval_budget:
-            a.clpso_step(coeffs)
-            b.clpso_step(coeffs)
+            a.step(coeffs)
+            b.step(coeffs)
             assert a.rng.bit_generator.state == b.rng.bit_generator.state
         assert not np.array_equal(a.exemplar, b.exemplar)
 
@@ -665,13 +665,7 @@ class TestDrive:
         mirror = Swarm(obj, 10, 45, seed=22, variant=variant)
         curve = [(10, mirror.gbest_fit)]
         for t in range(4):
-            c = schedule_coeffs("tvac", t, 3)
-            if variant == "clpso":
-                mirror.clpso_step([c] * 5)
-            elif variant == "pso":
-                mirror.pso_step([c] * 5)
-            else:
-                mirror.rlpso_step([c] * 5)
+            mirror.step([schedule_coeffs("tvac", t, 3)] * 5)
             curve.append((mirror.eval_count, mirror.gbest_fit))
         assert record.curve == curve
         assert curve[-1][0] == 45
@@ -741,14 +735,9 @@ class TestSwarmInvariants:
         best = swarm.gbest_fit
         while swarm.eval_count < swarm.eval_budget:
             w, c1, c2 = rng.uniform(0.1, 0.9), rng.uniform(0, 3), rng.uniform(0, 3)
-            if variant == "pso":
-                swarm.pso_step(const_coeffs(w, c1, c2, groups=5))
-            elif variant == "clpso":
-                swarm.clpso_step(const_coeffs(w, c1, c2, groups=5))
-            else:
-                swarm.rlpso_step(
-                    const_coeffs(w, c1, c2, c3=rng.uniform(0, 2), c4=rng.uniform(0, 1),
-                                 groups=5))
+            extra = (dict(c3=rng.uniform(0, 2), c4=rng.uniform(0, 1)) if variant == "rlpso"
+                     else {})
+            swarm.step(const_coeffs(w, c1, c2, **extra, groups=5))
             assert swarm.gbest_fit <= best
             best = swarm.gbest_fit
             assert np.all(swarm.positions >= obj.lower)
@@ -772,7 +761,7 @@ class TestSwarmInvariants:
         obj = make_objective("griewank", 3, 12)
         swarm = Swarm(obj, 8, 400, seed=16)
         for _ in range(5):
-            swarm.pso_step(const_coeffs(0.7, 1.5, 1.5))
+            swarm.step(const_coeffs(0.7, 1.5, 1.5))
         for i in range(swarm.n):
             assert swarm.pbest_fit[i] == obj.evaluate(swarm.pbest_pos[i])
 
@@ -783,7 +772,7 @@ class TestSwarmInvariants:
             swarm = Swarm(obj, 8, 400, seed=17)
             trace = [swarm.gbest_fit]
             for t in range(10):
-                swarm.pso_step(const_coeffs(0.9 - 0.05 * t, 1.2, 1.8))
+                swarm.step(const_coeffs(0.9 - 0.05 * t, 1.2, 1.8))
                 trace.append(swarm.gbest_fit)
             runs.append((trace, swarm.positions.copy()))
         assert runs[0][0] == runs[1][0]
@@ -791,10 +780,10 @@ class TestSwarmInvariants:
 
     def test_degenerate_coefficients_freeze_positions(self):
         swarm = Swarm(flat_objective(3), 6, 1000, seed=18)
-        swarm.pso_step(const_coeffs(0.0, 0.0, 0.0))
+        swarm.step(const_coeffs(0.0, 0.0, 0.0))
         assert np.array_equal(swarm.velocities, np.zeros_like(swarm.velocities))
         frozen = swarm.positions.copy()
-        swarm.pso_step(const_coeffs(0.0, 0.0, 0.0))
+        swarm.step(const_coeffs(0.0, 0.0, 0.0))
         assert np.array_equal(swarm.positions, frozen)
 
     def test_subgroup_partition_is_contiguous_with_remainder_last(self):

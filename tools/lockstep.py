@@ -122,7 +122,7 @@ def policy_call(pkg, mode: str, seed: int):
             start = time.perf_counter()
             last[0] = controller(swarm, t, T_MAX)
             spent += time.perf_counter() - start
-            swarm.pso_step(last[0])
+            swarm.step(last[0])
         return spent
 
     return block, lambda: [last[0], swarm.positions]
