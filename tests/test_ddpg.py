@@ -410,12 +410,7 @@ class TestCoefficientPlumbing:
         message = "^no policy adapts variant 'clpso'$"
         with pytest.raises(ValueError, match=message):
             coefficient_sets(np.zeros(20), mode, "clpso")
-
-        class ZeroPolicy:
-            def act(self, state, explore):
-                return np.zeros(20)
-
-        controller = PolicyController(ZeroPolicy(), mode, "clpso")
+        controller = PolicyController(DdpgAgent(action_width("pso"), seed=1), mode, "clpso")
         with pytest.raises(ValueError, match=message):
             controller(Swarm(flat_objective(2), 10, 1000, seed=1, variant="clpso"), 0, 100)
 
