@@ -42,17 +42,17 @@ drawn.
 
 The step lands the k particles at once (velocity, speed clamp, position,
 bound clamp), then gives each its turn, ``_record``, in index order
-(initialization records through it too), and lands again, from the
-iteration's start positions, the later particles the record returns as
-stale.  Particle i's velocity reads its own position, velocity and pbest,
-which nothing changes before its turn, and its other targets at its turn:
-the gbest, and the pbests its exemplar row names.  Exemplar rows change only
-at reassignment, after the particle's own record.  So particle j's record
-makes a later landing stale exactly when it moves one of their targets: a
-gbest move makes all of j+1..k-1 stale where the gbest is a target, and a
-pbest improvement the later particles whose exemplar row names j where the
-exemplar is.  A mutated particle reads no target: it lands at its mutant
-with a zero velocity whenever it is landed.
+(initialization records through it too).  A record that moves a target a
+later particle reads makes the tail stale, and the tail lands again, from the
+iteration's start positions, before the next turn.  Particle i's velocity
+reads its own position, velocity and pbest, which nothing changes before its
+turn, and its other targets at its turn: the gbest, and the pbests its
+exemplar row names; exemplar rows change only at reassignment, after the
+particle's own record.  So a record makes the tail stale exactly when it
+moves the gbest where the gbest is a target, or improves a pbest that a later
+exemplar row names.  A re-landed particle whose targets did not move gets the
+same bits.  A mutated particle reads no target: it lands at its mutant with a
+zero velocity whenever it is landed.
 
 Every update performs the per-particle form's operations with its
 association: the terms ``(c*r)*(t - x)``, one per target t in ``TARGETS``
@@ -198,7 +198,7 @@ class Swarm:
         self.stall = np.zeros(n, dtype=int)
         self.exemplar = np.tile(np.arange(n)[:, None], (1, self.dim))
         for i in range(n):  # every first record improves, so none counts a stall
-            self._record(i, i + 1)
+            self._record(i)
         if not np.isfinite(self.pbest_fit).any():
             raise ValueError(f"the objective returned no finite value at any of the "
                              f"{n} initial positions")
@@ -235,13 +235,13 @@ class Swarm:
 
     # -- the step -------------------------------------------------------------
 
-    def _record(self, j: int, k: int):
+    def _record(self, j: int) -> bool:
         """Particle j's turn: evaluate it, update its pbest and, independently,
         the gbest, and where the exemplar is a target count a stall if the
         pbest did not improve, redrawing the exemplar row past the refreshing
-        gap.  Returns the particles of j+1..k-1 it made stale: all of them
-        after a gbest move where the gbest is a target, else, after a pbest
-        improvement, those whose exemplar row names j."""
+        gap.  Returns whether it moved a target a later particle reads: the
+        gbest where the gbest is a target, or j's pbest where a later exemplar
+        row names j."""
         x = self.positions[j]
         fit = self.objective.evaluate(x)
         self.eval_count += 1
@@ -249,22 +249,19 @@ class Swarm:
         if improved:
             self.pbest_fit[j] = fit
             self.pbest_pos[j] = x
-        stale = None
+        moved = False
         if fit < self.gbest_fit:
             self.gbest_fit = fit
             self.gbest_pos = x.copy()
-            if self._follows_gbest:
-                stale = slice(j + 1, k)
+            moved = self._follows_gbest
         if not self._reads_exemplars:
-            return stale
-        if not improved:
-            self.stall[j] += 1
-            if self.stall[j] > REFRESH_GAP:
-                self.assign_exemplar(j)
-        elif stale is None:
-            rows = j + 1 + np.flatnonzero((self.exemplar[j + 1:k] == j).any(axis=1))
-            stale = rows if rows.size else None
-        return stale
+            return moved
+        if improved:
+            return moved or bool((self.exemplar[j + 1:] == j).any())
+        self.stall[j] += 1
+        if self.stall[j] > REFRESH_GAP:
+            self.assign_exemplar(j)
+        return moved
 
     def step(self, coeffs) -> bool:
         """One iteration of this swarm's variant; returns whether gbest improved.
@@ -281,7 +278,8 @@ class Swarm:
 
         ``land(s)`` lands particles ``s`` and reads each target where they
         land: the pbest as ``pbest_pos[s]``, the gbest as ``gbest_pos`` and
-        the exemplar as the pbests ``exemplar[s]`` names.  Evaluation stops
+        the exemplar as the pbests ``exemplar[s]`` names; the tail ``j..k-1``
+        lands first and after every stale record.  Evaluation stops
         mid-iteration if the budget runs out (remaining particles are left
         untouched).
         """
@@ -329,11 +327,11 @@ class Swarm:
             self.velocities[s] = v
 
         start_best = self.gbest_fit
-        land(slice(0, k))
+        stale = True
         for j in range(k):
-            stale = self._record(j, k)
-            if stale is not None:
-                land(stale)
+            if stale:
+                land(slice(j, k))
+            stale = self._record(j)
         if self.gbest_fit < start_best:
             self.last_improve_eval = self.eval_count
             return True

@@ -453,10 +453,10 @@ class TestDrawOrderOracle:
 
     N, DIM, STEPS, TAIL = 10, 4, 4, 6
 
-    def _swarm(self, variant, seed, stale_gbest=False):
+    def _swarm(self, variant, seed, stale_gbest=False, cls=Swarm):
         budget = self.N * self.STEPS + self.TAIL
-        swarm = Swarm(make_objective("rastrigin_rot", self.DIM, seed), self.N, budget,
-                      seed=seed, variant=variant)
+        swarm = cls(make_objective("rastrigin_rot", self.DIM, seed), self.N, budget,
+                    seed=seed, variant=variant)
         # every other particle sits near a wall, flying outwards at full speed
         side = np.where(swarm.positions[::2] < 0.0, -1.0, 1.0)
         swarm.positions[::2] = 97.0 * side
@@ -525,6 +525,33 @@ class TestDrawOrderOracle:
                            STRESS_COEFFS)
         assert oracle.mutations and oracle.reassigned
 
+    @pytest.mark.parametrize("variant, seed", [("pso", 31), ("clpso", 33), ("rlpso", 35)])
+    def test_landing_a_tail_again_changes_no_bit(self, variant, seed):
+        """A particle whose targets did not move lands again from the same
+        start position, velocity, draws and targets, so a swarm whose every
+        record reports a moved target ends bit-identical to the plain one."""
+
+        class AlwaysStale(Swarm):
+            def _record(self, j):
+                super()._record(j)
+                return True
+
+        plain, stale = (self._swarm(variant, seed, stale_gbest=variant == "pso", cls=cls)
+                        for cls in (Swarm, AlwaysStale))
+        oracle = _Oracle(plain)
+        curves = [], []
+        for _ in range(self.STEPS):
+            oracle.step(variant, STRESS_COEFFS)
+            for swarm, curve in zip((plain, stale), curves):
+                curve.append((swarm.step(STRESS_COEFFS), swarm.eval_count, swarm.gbest_fit))
+        assert curves[0] == curves[1]
+        for name in ("positions", "velocities", "pbest_pos", "pbest_fit", "gbest_pos",
+                     "stall", "exemplar"):
+            assert np.array_equal(getattr(stale, name), getattr(plain, name)), name
+        for name in ("rng", "exemplar_rng"):
+            assert getattr(stale, name).bit_generator.state == \
+                getattr(plain, name).bit_generator.state
+        assert oracle.cut_short and (variant != "rlpso" or oracle.early_mutations)
 
     @pytest.mark.parametrize("variant, stale_gbest",
                              [("clpso", False), ("rlpso", False), ("rlpso", True)])
@@ -549,6 +576,29 @@ class TestDrawOrderOracle:
         assert oracle.read_improved >= 1 and oracle.reassigned >= 1
         if variant == "rlpso":
             assert oracle.early_mutations >= 1 and oracle.early_gbest >= 1
+
+
+class TestRecordContract:
+    """``_record(j)`` reports whether particle j's record moved a target a
+    later particle reads, which is when the step lands the tail again."""
+
+    @pytest.mark.parametrize("variant, to_gbest, named, moved", [
+        ("pso", True, False, True),  # a gbest move, and the gbest is a target
+        ("clpso", True, False, False),  # a gbest move, and the gbest is no target
+        ("clpso", False, True, True),  # a pbest improvement a later row names
+        ("clpso", False, False, False),  # a pbest improvement no row names
+    ])
+    def test_reports_a_moved_target_a_later_particle_reads(self, variant, to_gbest, named,
+                                                            moved):
+        swarm = Swarm(flat_objective(3), 6, 100, seed=4, variant=variant)
+        swarm.exemplar[:] = np.arange(6)[:, None]  # every row names its own particle
+        if named:
+            swarm.exemplar[4, 1] = 2
+        start_gbest, start_pbest = swarm.gbest_fit, swarm.pbest_fit[2]
+        swarm.positions[2] = 0.0 if to_gbest else 0.9 * swarm.pbest_pos[2]
+        assert swarm._record(2) is moved
+        assert swarm.pbest_fit[2] < start_pbest
+        assert (swarm.gbest_fit < start_gbest) == to_gbest
 
 
 class TestTwoGenerators:

@@ -12,10 +12,11 @@ identical inputs: per tree, the build, one untimed warm-up batch and one
 timed batch of the case's calls run back to back, and the tree that goes
 first alternates from block to block.  A batch is sized to last a few
 milliseconds, so a short host hiccup moves few blocks.  After each block the
-two sides' states must be equal, or the script stops with an error.  So the
-blocks are independent pairs of instances: a cost that belongs to one
-instance, such as where its arrays landed in memory, shows in one block
-only.  The cases:
+two sides' states must be equal, or the script stops with an error.  A cost
+that belongs to one instance, such as where its arrays landed in memory,
+shows in one block only.  The blocks are not independent, though: the host
+changes speed in phases that span several blocks, and a phase can favour
+the side that runs first in it.  The cases:
 
 * ``pso_step``, ``clpso_step`` and ``rlpso_step``, 40 particles at 10-D on
   rastrigin and on sphere, each stepped with one coefficient table through
@@ -31,9 +32,12 @@ only.  The cases:
 
 It prints, per case, each side's median time per unit over the blocks, the
 median over the blocks of this tree's time relative to the ref's in the same
-block with a 95 % bootstrap interval of that median (2000 resamples of the
-40 block ratios, from a generator seeded with ``BOOTSTRAP_SEED`` and used
-for nothing else), and the number of blocks each side was faster in.  Both
+block with a 95 % moving-block bootstrap interval of that median, and the
+number of blocks each side was faster in.  Each of the interval's 2000
+resamples joins 8 runs of ``RUN`` = 5 consecutive block ratios, each run
+starting anywhere in the 40, so a host phase that spans several blocks
+stays together in a resample; the starts come from a generator seeded with
+``BOOTSTRAP_SEED`` and used for nothing else.  Both
 trees run in one process on one trajectory, so a change in host speed that
 lasts longer than a block slows both sides alike.  Run against the working
 tree's own commit, the split and the interval show the tool's spread on
@@ -71,6 +75,7 @@ ROW = (0.729, 1.494, 1.494, 1.0, 1.0)
 T_MAX = 2 * max(STEP_CALLS, POLICY_CALLS, TRAIN_CALLS)
 BUDGET = N * (1 + T_MAX)
 RESAMPLES, BOOTSTRAP_SEED = 2000, 0
+RUN = 5  # consecutive blocks per bootstrap draw, about one host speed phase
 
 
 def import_ref(ref: str, into: str):
@@ -174,10 +179,13 @@ def run_case(packages, builder, args, calls):
 
 
 def paired_interval(ratios) -> tuple:
-    """The 95 % bootstrap interval of the median of the block ratios."""
+    """The 95 % moving-block bootstrap interval of the median of the block
+    ratios, in runs of ``RUN`` consecutive blocks."""
     ratios = np.asarray(ratios)
     rng = np.random.default_rng(BOOTSTRAP_SEED)
-    medians = np.median(ratios[rng.integers(0, ratios.size, (RESAMPLES, ratios.size))], axis=1)
+    starts = rng.integers(0, ratios.size - RUN + 1, (RESAMPLES, ratios.size // RUN))
+    medians = np.median(ratios[(starts[..., None] + np.arange(RUN)).reshape(RESAMPLES, -1)],
+                        axis=1)
     return tuple(np.percentile(medians, (2.5, 97.5)))
 
 
