@@ -14,9 +14,8 @@ first alternates from block to block.  A batch is sized to last a few
 milliseconds, so a short host hiccup moves few blocks.  After each block the
 two sides' states must be equal, or the script stops with an error.  A cost
 that belongs to one instance, such as where its arrays landed in memory,
-shows in one block only.  The blocks are not independent, though: the host
-changes speed in phases that span several blocks, and a phase can favour
-the side that runs first in it.  The cases:
+shows in one block only.  The blocks are not independent pairs, though:
+the host changes speed in phases that span several blocks.  The cases:
 
 * ``pso_step``, ``clpso_step`` and ``rlpso_step``, 40 particles at 10-D on
   rastrigin and on sphere, each stepped with one coefficient table through
@@ -75,7 +74,7 @@ ROW = (0.729, 1.494, 1.494, 1.0, 1.0)
 T_MAX = 2 * max(STEP_CALLS, POLICY_CALLS, TRAIN_CALLS)
 BUDGET = N * (1 + T_MAX)
 RESAMPLES, BOOTSTRAP_SEED = 2000, 0
-RUN = 5  # consecutive blocks per bootstrap draw, about one host speed phase
+RUN = 5  # consecutive blocks per bootstrap draw
 
 
 def import_ref(ref: str, into: str):
