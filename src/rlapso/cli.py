@@ -74,7 +74,7 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_train(args) -> int:
-    pool = [s.strip() for s in args.functions.split(",") if s.strip()]
+    pool = harness.parse_list(args.functions)
     agent = DdpgAgent(action_width(args.variant), args.seed)
     log = ddpg.train(agent, pool, args.episodes, args.mode, args.variant, args.dim,
                      n_particles=args.particles, budget=args.budget, seed=args.seed,

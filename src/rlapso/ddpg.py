@@ -376,6 +376,20 @@ class ActorPolicy:
         return np.clip(self.actor.forward(encoded_state), -1.0, 1.0)
 
 
+def key_value_lines(lines):
+    """Read the ``key = value`` lines of a model sidecar or an experiment
+    config: ``#`` starts a comment, blank lines are skipped, and each other
+    line yields ``(line number, line, key, value)``, split at its first ``=``
+    and stripped, with value None where it has no ``=``.  Refusals are the
+    caller's."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        yield lineno, line, key.strip(), value.strip() if sep else None
+
+
 def save_model(actor: Mlp, path, *, mode: str, variant: str, pool, episodes: int,
                seed: int) -> None:
     """Persist a trained actor: binary weights plus a key=value sidecar."""
@@ -426,17 +440,12 @@ def load_model(path) -> tuple[ActorPolicy, dict]:
     actor = load_weights(path)
     meta = {}
     with open(sidecar, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep:
+        for lineno, line, key, value in key_value_lines(f):
+            if value is None:
                 raise ValueError(f"{sidecar} line {lineno}: expected key=value, got {line!r}")
             if key in meta:
                 raise ValueError(f"{sidecar} line {lineno}: duplicate key {key!r}")
-            meta[key] = value.strip()
+            meta[key] = value
     missing = [key for key in ("mode", "variant") if key not in meta]
     if missing:
         raise ValueError(f"{sidecar} declares no {' or '.join(missing)}")

@@ -182,12 +182,20 @@ class ExperimentConfig:
             raise ConfigError("runs, budget, and dim must be sensible positive values")
         if self.particles < SUBGROUPS:
             raise ConfigError(f"need at least {SUBGROUPS} particles, got {self.particles}")
+        if not self.out_dir:
+            # Path("") is the working directory
+            raise ConfigError("out_dir is empty; name the directory for the results")
         return self
+
+
+def parse_list(text: str) -> list:
+    """A comma-separated list, each item stripped and empty items dropped."""
+    return [s.strip() for s in text.split(",") if s.strip()]
 
 
 # one value parser per field type (annotations are strings in this module)
 _PARSERS = {
-    "list": lambda v: [s.strip() for s in v.split(",") if s.strip()],
+    "list": parse_list,
     "int": int,
     "str": str,
 }
@@ -195,16 +203,11 @@ _CONFIG_KEYS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse the line-based ``key=value`` config format (# starts a comment)."""
+    """Parse the ``key=value`` config format that ``ddpg.key_value_lines`` reads."""
     values = {}
     set_on = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        key = key.strip()
-        if not sep:
+    for lineno, line, key, value in ddpg.key_value_lines(text.splitlines()):
+        if value is None:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
@@ -213,7 +216,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 f"line {lineno}: duplicate config key {key!r} (first set on line {set_on[key]})")
         set_on[key] = lineno
         try:
-            values[key] = _CONFIG_KEYS[key](value.strip())
+            values[key] = _CONFIG_KEYS[key](value)
         except ValueError:
             raise ConfigError(f"line {lineno}: invalid value for {key!r}: {line!r}") from None
     if "functions" not in values or "algorithms" not in values:

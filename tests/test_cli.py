@@ -95,6 +95,16 @@ class TestCompare:
         assert main(["compare", "--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_empty_out_dir_is_runtime_error_writing_nothing(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text("functions=sphere\nalgorithms=pso\n"
+                       "dim=2\nruns=1\nbudget=40\nparticles=8\nout_dir =\n")
+        assert main(["compare", "--config", str(cfg)]) == 2
+        assert "out_dir is empty" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [cfg]
+
     def test_small_comparison_runs(self, tmp_path, capsys):
         cfg = tmp_path / "cmp.cfg"
         cfg.write_text(
@@ -123,6 +133,17 @@ class TestTrainAndModelRuns:
                      "--out", str(out)])
         assert code == 0
         assert out.exists()
+
+    def test_functions_split_like_a_config_list(self, tmp_path):
+        model = tmp_path / "m.bin"
+        text = " sphere, ,rastrigin "
+        assert main(["train", "--functions", text, "--dim", "2", "--episodes", "1",
+                     "--budget", "40", "--particles", "8", "--seed", "0",
+                     "--out", str(model), "--log-every", "0"]) == 0
+        sidecar = (tmp_path / "m.bin.meta").read_text(encoding="utf-8").splitlines()
+        assert "pool=sphere,rastrigin" in sidecar
+        config = harness.parse_config(f"functions = {text}\nalgorithms = pso\n")
+        assert f"pool={','.join(config.functions)}" in sidecar
 
     @pytest.mark.parametrize("flag", ["--validate-every", "--log-every"])
     def test_negative_cadence_is_runtime_error(self, tmp_path, capsys, flag):

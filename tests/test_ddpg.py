@@ -16,6 +16,7 @@ from rlapso.ddpg import (
     adapted_run,
     coefficient_sets,
     encode,
+    key_value_lines,
     load_model,
     observe,
     reward,
@@ -575,6 +576,17 @@ class TestAdaptedRun:
         controller(swarm, 1, 20)
         assert not np.array_equal(first, controller.state)
         assert np.array_equal(controller.state, encode(observe(swarm)))
+
+
+class TestKeyValueLines:
+    def test_comments_blanks_and_the_first_equals(self):
+        lines = ["# header", "", "  a = 1  # note", "b", "c=x=y\n", "   # indented", "d ="]
+        assert list(key_value_lines(lines)) == [
+            (3, "a = 1", "a", "1"),
+            (4, "b", "b", None),
+            (5, "c=x=y", "c", "x=y"),
+            (7, "d =", "d", ""),
+        ]
 
 
 class TestModelFiles:

@@ -210,6 +210,11 @@ class TestConfig:
         with pytest.raises(FileNotFoundError, match="missing.cfg"):
             load_config(tmp_path / "missing.cfg")
 
+    def test_empty_out_dir_rejected(self):
+        # Path("") would put every result file in the working directory
+        with pytest.raises(ConfigError, match="out_dir is empty"):
+            parse_config("functions=sphere\nalgorithms=pso\nout_dir =\n")
+
 
 def tiny_config(tmp_path, **overrides):
     base = dict(functions=["sphere", "rastrigin"], algorithms=["pso", "pso-linear"],
