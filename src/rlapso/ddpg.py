@@ -188,7 +188,7 @@ class DdpgAgent:
                                              param_grads=False)
         action_grad = input_grad[:, STATE_WIDTH:]
         actor_grads, _ = self.actor.backward(tapes["actor"], action_grad, input_grad=False)
-        np.negative(actor_grads.flat, out=actor_grads.flat)  # gradient *ascent* on the critic value
+        np.negative(actor_grads.params, out=actor_grads.params)  # ascend the critic's value
         adam_update(self.actor, actor_grads, self.actor_opt, self.actor_lr)
 
         self.soft_update_targets()
@@ -376,13 +376,14 @@ class ActorPolicy:
         return np.clip(self.actor.forward(encoded_state), -1.0, 1.0)
 
 
-def key_value_lines(lines):
+def key_value_lines(text: str):
     """Read the ``key = value`` lines of a model sidecar or an experiment
-    config: ``#`` starts a comment, blank lines are skipped, and each other
-    line yields ``(line number, line, key, value)``, split at its first ``=``
-    and stripped, with value None where it has no ``=``.  Refusals are the
+    config: ``text`` splits into lines by ``str.splitlines``, ``#`` starts a
+    comment, blank lines are skipped, and each other line yields
+    ``(line number, line, key, value)``, split at its first ``=`` and
+    stripped, with value None where it has no ``=``.  Refusals are the
     caller's."""
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -439,13 +440,12 @@ def load_model(path) -> tuple[ActorPolicy, dict]:
         raise FileNotFoundError(f"model sidecar not found: {sidecar}")
     actor = load_weights(path)
     meta = {}
-    with open(sidecar, "r", encoding="utf-8") as f:
-        for lineno, line, key, value in key_value_lines(f):
-            if value is None:
-                raise ValueError(f"{sidecar} line {lineno}: expected key=value, got {line!r}")
-            if key in meta:
-                raise ValueError(f"{sidecar} line {lineno}: duplicate key {key!r}")
-            meta[key] = value
+    for lineno, line, key, value in key_value_lines(sidecar.read_text(encoding="utf-8")):
+        if value is None:
+            raise ValueError(f"{sidecar} line {lineno}: expected key=value, got {line!r}")
+        if key in meta:
+            raise ValueError(f"{sidecar} line {lineno}: duplicate key {key!r}")
+        meta[key] = value
     missing = [key for key in ("mode", "variant") if key not in meta]
     if missing:
         raise ValueError(f"{sidecar} declares no {' or '.join(missing)}")

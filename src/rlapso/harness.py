@@ -206,7 +206,7 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the ``key=value`` config format that ``ddpg.key_value_lines`` reads."""
     values = {}
     set_on = {}
-    for lineno, line, key, value in ddpg.key_value_lines(text.splitlines()):
+    for lineno, line, key, value in ddpg.key_value_lines(text):
         if value is None:
             raise ConfigError(f"line {lineno}: expected key=value, got {line!r}")
         if key not in _CONFIG_KEYS:

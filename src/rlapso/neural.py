@@ -12,9 +12,11 @@ pass returns stays valid until that tape's next pass.
 Each network keeps all its parameters in one contiguous float64 vector,
 ``Mlp.params``: every weight matrix row-major (layer by layer, shaped
 (fan_out, fan_in)), then every bias vector.  This is exactly the payload of
-a weight file.  ``Mlp.weights``/``Mlp.biases``, ``Gradients`` and the Adam
-moments use the same layout, so cloning, saving, loading, an Adam step and a
-soft target update are each a few whole-vector operations.
+a weight file.  ``Mlp.weights``/``Mlp.biases`` are per-layer views into it.
+A network's parameter gradients are an ``Mlp`` too, over the tape's vector
+shaped like ``params``, and the Adam moments use the same layout, so cloning,
+saving, loading, an Adam step and a soft target update are each a few
+whole-vector operations.
 
 Weight files are a fixed little-endian binary layout (see ``save_weights``)
 that round-trips bit-exactly.
@@ -80,9 +82,10 @@ class GradientTape:
     """One recorded pass of a network, consumed by ``Mlp.backward``.
 
     The tape owns every array of the pass: each layer's pre-activation and
-    activation, backward's ``dz`` and upstream products, and one
-    ``Gradients`` buffer, allocated on first use and again only when the
-    batch shape changes.  So what a taped ``forward`` or ``backward``
+    activation, backward's ``dz`` and upstream products, and the parameter
+    gradients, an ``Mlp`` over a vector shaped like the network's ``params``
+    that is never run forward.  Each is allocated on first use and again
+    only when its shape changes.  So what a taped ``forward`` or ``backward``
     returns stays valid until this tape's next pass.
     """
 
@@ -99,16 +102,6 @@ class GradientTape:
         if a is None or a.shape != shape:
             a = self._arrays[key] = np.empty(shape)
         return a
-
-
-class Gradients:
-    """Parameter gradients in one flat buffer laid out like ``Mlp.params``;
-    ``weights`` and ``biases`` are per-layer views into it."""
-
-    def __init__(self, flat: np.ndarray, layer_dims):
-        self.flat = flat
-        self.layer_dims = list(layer_dims)
-        self.weights, self.biases = _layer_views(flat, layer_dims)
 
 
 class Mlp:
@@ -174,7 +167,7 @@ class Mlp:
         return a[0] if single else a
 
     def backward(self, tape: GradientTape, output_grad, param_grads: bool = True,
-                 input_grad: bool = True) -> tuple[Gradients | None, np.ndarray | None]:
+                 input_grad: bool = True) -> tuple[Mlp | None, np.ndarray | None]:
         """Backpropagate ``output_grad`` through the pass recorded on ``tape``.
 
         Returns parameter gradients (summed over the batch) and the gradient
@@ -193,7 +186,7 @@ class Mlp:
         if g.shape != tape.output.shape:
             raise ValueError(f"output_grad shape {g.shape} != output shape {tape.output.shape}")
         if param_grads and (tape.grads is None or tape.grads.layer_dims != self.layer_dims):
-            tape.grads = Gradients(np.empty_like(self.params), self.layer_dims)
+            tape.grads = Mlp(self.layer_dims, np.empty_like(self.params), self.output_activation)
         grads = tape.grads if param_grads else None
         upstream = g
         for k in range(self.n_layers - 1, -1, -1):
@@ -233,7 +226,7 @@ class AdamState:
         self._denom = np.empty_like(net.params)
 
 
-def adam_update(net: Mlp, grads: Gradients, state: AdamState, lr: float) -> None:
+def adam_update(net: Mlp, grads: Mlp, state: AdamState, lr: float) -> None:
     """One in-place Adam step with bias correction.
 
     Every parameter sees, in order, with b1, b2, eps = ``ADAM_BETA1``,
@@ -243,7 +236,7 @@ def adam_update(net: Mlp, grads: Gradients, state: AdamState, lr: float) -> None
     """
     if lr <= 0:
         raise ValueError("learning rate must be positive")
-    g = grads.flat
+    g = grads.params
     if g.shape != net.params.shape:
         raise ValueError(f"gradient shape {g.shape} != parameter shape {net.params.shape}")
     state.t += 1

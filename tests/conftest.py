@@ -1,11 +1,6 @@
 """Shared test fixtures and small deterministic helpers."""
 
-import os
-
-# the DDPG matrices are tiny; BLAS threading only adds contention and jitter
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("MKL_NUM_THREADS", "1")
+import rlapso  # noqa: F401  (first: it pins the BLAS thread count before numpy loads)
 
 import numpy as np
 import pytest

@@ -158,6 +158,18 @@ class TestTrainAndModelRuns:
         assert "episode" not in captured.out
         assert not model.exists()
 
+    @pytest.mark.parametrize("validation", [[], ["--validate-every", "0"]],
+                             ids=["validated", "unvalidated"])
+    def test_relative_rlpso_is_runtime_error(self, tmp_path, capsys, validation):
+        model = tmp_path / "m.bin"
+        code = main(["train", "--variant", "rlpso", "--mode", "relative",
+                     "--functions", "sphere", "--dim", "2", "--episodes", "1",
+                     "--budget", "40", "--particles", "8", "--seed", "0",
+                     "--out", str(model), "--log-every", "0", *validation])
+        assert code == 2
+        assert "relative mode is undefined for rlpso" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_model_variant_mismatch_is_runtime_error(self, tmp_path, capsys):
         model = tmp_path / "m.bin"
         assert main(["train", "--variant", "pso", "--mode", "absolute",

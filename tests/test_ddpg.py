@@ -580,13 +580,26 @@ class TestAdaptedRun:
 
 class TestKeyValueLines:
     def test_comments_blanks_and_the_first_equals(self):
-        lines = ["# header", "", "  a = 1  # note", "b", "c=x=y\n", "   # indented", "d ="]
-        assert list(key_value_lines(lines)) == [
+        text = "# header\n\n  a = 1  # note\nb\r\nc=x=y\n   # indented\nd ="
+        assert list(key_value_lines(text)) == [
             (3, "a = 1", "a", "1"),
             (4, "b", "b", None),
             (5, "c=x=y", "c", "x=y"),
             (7, "d =", "d", ""),
         ]
+
+    def test_sidecar_splits_lines_as_a_config_does(self, tmp_path):
+        from rlapso.harness import parse_config
+
+        text = "mode=absolute\x0cvariant=pso\n"  # a form feed ends a line for str.splitlines
+        path = tmp_path / "model.bin"
+        save_model(DdpgAgent(20, seed=19).actor, path, mode="absolute", variant="pso",
+                   pool=["sphere"], episodes=1, seed=19)
+        (tmp_path / "model.bin.meta").write_text(text, encoding="utf-8")
+        _, meta = load_model(path)
+        assert meta == {"mode": "absolute", "variant": "pso"}
+        config = parse_config("functions = sphere\x0calgorithms = pso\n")
+        assert (config.functions, config.algorithms) == (["sphere"], ["pso"])
 
 
 class TestModelFiles:

@@ -393,15 +393,21 @@ class TestModelContract:
             run_single("rlam-relative", "sphere", 2, 1, 100, 1, particles=8,
                        model=self._model(mode="relative", action_width="25"))
 
-    def test_experiment_checks_its_model_before_any_run(self, tmp_path):
+    # one model serves one model-driven algorithm: every pair differs in mode or variant
+    @pytest.mark.parametrize("fits, refuses, error", [
+        ("rlam-absolute", "rlam-relative", "mode=absolute, rlam-relative needs relative"),
+        ("rlam-absolute", "rlpso", "model emits 20 action values, rlpso needs 25"),
+        ("rlam-relative", "rlpso", "model emits 20 action values, rlpso needs 25"),
+    ], ids=["absolute-relative", "absolute-rlpso", "relative-rlpso"])
+    def test_experiment_checks_its_model_before_any_run(self, tmp_path, fits, refuses, error):
         from rlapso.ddpg import DdpgAgent, action_width, save_model
 
-        path = tmp_path / "absolute.bin"
-        save_model(DdpgAgent(action_width("pso"), seed=5).actor, path, mode="absolute",
-                   variant="pso", pool=["sphere"], episodes=1, seed=5)
-        cfg = tiny_config(tmp_path, algorithms=["pso", "rlam-absolute", "rlam-relative"],
-                          model=str(path))
-        with pytest.raises(ValueError, match="mode=absolute, rlam-relative needs relative"):
+        path = tmp_path / "model.bin"
+        save_model(DdpgAgent(action_width("pso"), seed=5).actor, path,
+                   mode=fits.removeprefix("rlam-"), variant="pso", pool=["sphere"],
+                   episodes=1, seed=5)
+        cfg = tiny_config(tmp_path, algorithms=["pso", fits, refuses], model=str(path))
+        with pytest.raises(ValueError, match=error):
             run_experiment(cfg)
         assert not Path(cfg.out_dir).exists()
 

@@ -9,7 +9,6 @@ from rlapso.neural import (
     LEAKY_SLOPE,
     AdamState,
     GradientTape,
-    Gradients,
     Mlp,
     WeightsFormatError,
     WeightsShapeError,
@@ -201,11 +200,11 @@ class TestFlatLayout:
         net.forward(np.random.default_rng(19).uniform(-1, 1, (4, 3)), tape)
         grads, _ = net.backward(tape, np.ones((4, 2)))
         expected = np.concatenate([g.ravel() for g in grads.weights] + list(grads.biases))
-        assert np.array_equal(grads.flat, expected)
-        first = grads.flat.copy()
+        assert np.array_equal(grads.params, expected)
+        first = grads.params.copy()
         reused, _ = net.backward(tape, np.ones((4, 2)))
         assert reused is grads
-        assert np.array_equal(reused.flat, first)
+        assert np.array_equal(reused.params, first)
 
     def test_input_gradient_alone_matches_full_backward(self):
         net = Mlp.init([6, 8, 8, 1], "identity", np.random.default_rng(20))
@@ -225,10 +224,10 @@ class TestFlatLayout:
         net.forward(np.random.default_rng(23).uniform(-1, 1, shape), tape)
         out_grad = np.full(shape[:-1] + (2,), 0.3)
         with_input, full = net.backward(tape, out_grad)
-        with_input = with_input.flat.copy()  # the next pass on this tape overwrites it
+        with_input = with_input.params.copy()  # the next pass on this tape overwrites it
         without, skipped = net.backward(tape, out_grad, input_grad=False)
         assert skipped is None and full.shape == shape
-        assert np.array_equal(with_input, without.flat)
+        assert np.array_equal(with_input, without.params)
 
     def test_taped_passes_across_batch_shapes_match_untaped(self):
         net = Mlp.init([4, 6, 6, 3], "tanh", np.random.default_rng(24))
@@ -241,7 +240,7 @@ class TestFlatLayout:
             grads, input_grad = net.backward(tape, out_grad)
             expected_grads, expected_input = reference_backward(net, x, out_grad)
             assert np.array_equal(taped, net.forward(x))
-            assert np.array_equal(grads.flat, expected_grads)
+            assert np.array_equal(grads.params, expected_grads)
             assert np.array_equal(input_grad, expected_input)
 
     def test_wrong_weight_shape_rejected(self):
@@ -253,7 +252,7 @@ class TestAdam:
     def test_zero_gradients_do_not_move_parameters(self):
         net = Mlp.init([3, 4, 2], "tanh", np.random.default_rng(8))
         snapshot = [w.copy() for w in net.weights]
-        grads = Gradients(np.zeros_like(net.params), net.layer_dims)
+        grads = Mlp(net.layer_dims, np.zeros_like(net.params), net.output_activation)
         adam_update(net, grads, AdamState(net), lr=0.1)
         for w0, w1 in zip(snapshot, net.weights):
             assert np.array_equal(w0, w1)
@@ -261,7 +260,7 @@ class TestAdam:
     def test_constant_gradient_moves_against_its_sign(self):
         net = Mlp([1, 1], np.zeros(2), "identity")
         state = AdamState(net)
-        grads = Gradients(np.array([2.5, -2.5]), [1, 1])  # weight, then bias
+        grads = Mlp([1, 1], np.array([2.5, -2.5]), "identity")  # weight, then bias
         for _ in range(20):
             adam_update(net, grads, state, lr=0.01)
         assert net.weights[0][0, 0] < 0.0
@@ -270,7 +269,7 @@ class TestAdam:
     def test_three_steps_match_hand_arithmetic(self):
         net = Mlp([1, 1], np.array([0.2, 0.1]), "identity")
         state = AdamState(net)
-        grads = Gradients(np.array([1.0, 0.5]), [1, 1])  # weight, then bias
+        grads = Mlp([1, 1], np.array([1.0, 0.5]), "identity")  # weight, then bias
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
 
         expect = {"w": 0.2, "b": 0.1}
@@ -289,7 +288,7 @@ class TestAdam:
 
     def test_shape_mismatch_rejected(self):
         net = zero_net([2, 2])
-        grads = Gradients(np.zeros(12), [3, 3])
+        grads = Mlp([3, 3], np.zeros(12), "identity")
         with pytest.raises(ValueError, match="shape"):
             adam_update(net, grads, AdamState(net), lr=0.1)
 
