@@ -17,15 +17,6 @@ from .harness import ALGORITHMS
 from .swarm import Swarm, drive
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}\n{self.format_usage()}")
-
-
 def _seed(text: str) -> int:
     """A seed value: numpy generators take only non-negative integers."""
     if not text.strip().isdecimal():
@@ -33,9 +24,9 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="rlapso", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="rlapso", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train",
                            help="train an adaptation agent and save the actor model")
@@ -161,11 +152,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
+    except SystemExit as exc:  # 0 after --help, 2 after a usage error
+        return 1 if exc.code else 0
     try:
         if args.command in ("train", "run"):
             out = Path(args.out)

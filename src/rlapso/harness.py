@@ -174,8 +174,12 @@ class ExperimentConfig:
             for i, name in enumerate(names):
                 if name in names[:i]:
                     raise ConfigError(f"{key} lists {name!r} more than once")
-        if any(_needs_model(a) for a in self.algorithms) and not self.model:
+        reads_model = any(_needs_model(a) for a in self.algorithms)
+        if reads_model and not self.model:
             raise ConfigError("config uses a model-driven algorithm but sets no model path")
+        if self.model and not reads_model:
+            raise ConfigError(f"config sets model but no listed algorithm reads one: "
+                              f"{', '.join(self.algorithms)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.runs < 1 or self.budget < self.particles or self.dim < 2:

@@ -28,6 +28,18 @@ class TestHelp:
         assert "usage" in capsys.readouterr().out.lower()
 
 
+class TestTopLevelUsage:
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ])
+    def test_usage_error_prints_usage_and_exits_one(self, argv, message, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rlapso [-h] {train,run,compare,bench}")
+        assert f"rlapso: error: {message}" in err
+
+
 class TestRun:
     def test_basic_run_writes_curve(self, tmp_path, capsys):
         out = tmp_path / "a.csv"

@@ -206,6 +206,11 @@ class TestConfig:
         with pytest.raises(ConfigError, match="model"):
             parse_config("functions=sphere\nalgorithms=pso,rlam-absolute\n")
 
+    def test_model_refused_when_no_algorithm_reads_it(self):
+        with pytest.raises(ConfigError, match="config sets model but no listed algorithm "
+                                              "reads one: pso, clpso"):
+            parse_config("functions=sphere\nalgorithms=pso, clpso\nmodel = missing.bin\n")
+
     def test_missing_file_raises_filenotfound(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing.cfg"):
             load_config(tmp_path / "missing.cfg")
