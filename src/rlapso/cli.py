@@ -13,7 +13,7 @@ import numpy as np
 from . import ddpg, harness
 from .benchmarks import FUNCTIONS, make_objective
 from .ddpg import DdpgAgent, action_width
-from .harness import ALGORITHMS
+from .harness import ALGORITHMS, MODEL_ALGORITHMS
 from .swarm import Swarm, drive
 
 
@@ -30,8 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     train = sub.add_parser("train",
                            help="train an adaptation agent and save the actor model")
-    train.add_argument("--variant", choices=tuple(ddpg.GROUP_WIDTH), default="pso")
-    train.add_argument("--mode", choices=("absolute", "relative"), default="absolute")
+    train.add_argument("--algo", choices=tuple(MODEL_ALGORITHMS), default="rlam-absolute",
+                       help="the model-driven algorithm the model is for")
     train.add_argument("--functions", default=",".join(ddpg.DEFAULT_POOL),
                        help="comma-separated training pool")
     train.add_argument("--dim", type=int, default=10)
@@ -65,12 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_train(args) -> int:
+    variant, mode = MODEL_ALGORITHMS[args.algo]
     pool = harness.parse_list(args.functions)
-    agent = DdpgAgent(action_width(args.variant), args.seed)
-    log = ddpg.train(agent, pool, args.episodes, args.mode, args.variant, args.dim,
+    agent = DdpgAgent(action_width(variant), args.seed)
+    log = ddpg.train(agent, pool, args.episodes, mode, variant, args.dim,
                      n_particles=args.particles, budget=args.budget, seed=args.seed,
                      validate_every=args.validate_every, log_every=args.log_every)
-    ddpg.save_model(agent.actor, args.out, mode=args.mode, variant=args.variant,
+    ddpg.save_model(agent.actor, args.out, mode=mode, variant=variant,
                     pool=pool, episodes=args.episodes, seed=args.seed)
     finals = [rec.final_gbest for rec in log[-20:]]
     print(f"trained {args.episodes} episodes; last-20 median final gbest "

@@ -17,23 +17,22 @@ from . import ddpg
 from .benchmarks import FUNCTIONS, make_objective
 from .swarm import SUBGROUPS, RunRecord, Schedule, Swarm, drive
 
-# Each algorithm's swarm variant and controller: a schedule, carrying its
-# records' adapter tag, or the mode of the trained policy that drives a
-# model-driven algorithm, whose records are tagged ``rlam-<mode>``.
-_ALGORITHM_TABLE = {
+# Each schedule algorithm's swarm variant and schedule, which carries its
+# records' adapter tag.
+_SCHEDULES = {
     "pso": ("pso", Schedule("constant", "none")),
     "pso-linear": ("pso", Schedule("linear_dec_w", "linear_dec_w")),
     "pso-tvac": ("pso", Schedule("tvac", "tvac")),
     "clpso": ("clpso", Schedule("clpso", "linear_dec_w")),
+}
+# Each model-driven algorithm's swarm variant and the mode of the trained
+# policy that drives it, whose records are tagged ``rlam-<mode>``.
+MODEL_ALGORITHMS = {
     "rlam-absolute": ("pso", "absolute"),
     "rlam-relative": ("pso", "relative"),
     "rlpso": ("rlpso", "absolute"),
 }
-ALGORITHMS = tuple(_ALGORITHM_TABLE)
-
-
-def _needs_model(algorithm: str) -> bool:
-    return isinstance(_ALGORITHM_TABLE[algorithm][1], str)
+ALGORITHMS = (*_SCHEDULES, *MODEL_ALGORITHMS)
 
 
 class ConfigError(ValueError):
@@ -120,20 +119,19 @@ def normalized_pairs(a_values, b_values) -> tuple[np.ndarray, np.ndarray]:
 def controller_for(algorithm: str, model=None) -> tuple:
     """``algorithm``'s swarm variant and controller.  A model-driven
     algorithm needs ``model``, a path or a ``(policy, meta)`` pair, checked
-    against the algorithm; a schedule algorithm refuses one."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
-    if model is not None and not _needs_model(algorithm):
-        raise ValueError(f"algorithm {algorithm!r} reads no model")
-    variant, controller = _ALGORITHM_TABLE[algorithm]
-    if _needs_model(algorithm):
+    against its variant and mode; a schedule algorithm refuses one."""
+    if algorithm in MODEL_ALGORITHMS:
         if model is None:
             raise ValueError(f"algorithm {algorithm!r} needs a trained model file")
-        mode = controller  # the table names the policy's mode
+        variant, mode = MODEL_ALGORITHMS[algorithm]
         policy, meta = model if isinstance(model, tuple) else ddpg.load_model(model)
         ddpg.check_model(policy, meta, mode, variant, algorithm)
-        controller = ddpg.PolicyController(policy, mode, variant)
-    return variant, controller
+        return variant, ddpg.PolicyController(policy, mode, variant)
+    if algorithm not in _SCHEDULES:
+        raise ValueError(f"unknown algorithm {algorithm!r}; valid: {', '.join(ALGORITHMS)}")
+    if model is not None:
+        raise ValueError(f"algorithm {algorithm!r} reads no model")
+    return _SCHEDULES[algorithm]
 
 
 def run_single(algorithm: str, function: str, dim: int, fn_seed: int, budget: int,
@@ -174,7 +172,7 @@ class ExperimentConfig:
             for i, name in enumerate(names):
                 if name in names[:i]:
                     raise ConfigError(f"{key} lists {name!r} more than once")
-        reads_model = any(_needs_model(a) for a in self.algorithms)
+        reads_model = any(a in MODEL_ALGORITHMS for a in self.algorithms)
         if reads_model and not self.model:
             raise ConfigError("config uses a model-driven algorithm but sets no model path")
         if self.model and not reads_model:
@@ -348,7 +346,7 @@ def run_experiment(config: ExperimentConfig, quiet: bool = True):
     created or any run starts, and only those algorithms are handed it.
     """
     config.validate()
-    model_algorithms = [a for a in config.algorithms if _needs_model(a)]
+    model_algorithms = [a for a in config.algorithms if a in MODEL_ALGORITHMS]
     model = ddpg.load_model(config.model) if model_algorithms else None
     for alg in model_algorithms:
         controller_for(alg, model)
@@ -362,7 +360,7 @@ def run_experiment(config: ExperimentConfig, quiet: bool = True):
             finals[(fn, alg)] = []
             for k in range(config.runs):
                 rec = run_single(alg, fn, config.dim, fn_seed, config.budget, config.seed + k,
-                                 config.particles, model if _needs_model(alg) else None)
+                                 config.particles, model if alg in MODEL_ALGORITHMS else None)
                 write_curve_csv(rec, out / curve_filename(fn, alg, k))
                 finals[(fn, alg)].append(rec.final_fit)
                 records.append(rec)

@@ -130,7 +130,7 @@ class TestCompare:
 class TestTrainAndModelRuns:
     def test_train_then_adapted_run(self, tmp_path, capsys):
         model = tmp_path / "m.bin"
-        code = main(["train", "--variant", "pso", "--mode", "absolute",
+        code = main(["train", "--algo", "rlam-absolute",
                      "--functions", "sphere", "--dim", "2", "--episodes", "2",
                      "--budget", "200", "--particles", "8", "--seed", "0",
                      "--out", str(model), "--log-every", "0"])
@@ -160,7 +160,7 @@ class TestTrainAndModelRuns:
     @pytest.mark.parametrize("flag", ["--validate-every", "--log-every"])
     def test_negative_cadence_is_runtime_error(self, tmp_path, capsys, flag):
         model = tmp_path / "m.bin"
-        code = main(["train", "--variant", "pso", "--mode", "absolute",
+        code = main(["train", "--algo", "rlam-absolute",
                      "--functions", "sphere", "--dim", "2", "--episodes", "3",
                      "--budget", "40", "--particles", "10", "--seed", "0",
                      "--out", str(model), flag, "-1"])
@@ -170,21 +170,30 @@ class TestTrainAndModelRuns:
         assert "episode" not in captured.out
         assert not model.exists()
 
-    @pytest.mark.parametrize("validation", [[], ["--validate-every", "0"]],
-                             ids=["validated", "unvalidated"])
-    def test_relative_rlpso_is_runtime_error(self, tmp_path, capsys, validation):
+    @pytest.mark.parametrize("algorithm", tuple(harness.MODEL_ALGORITHMS))
+    def test_each_model_algorithm_trains_and_runs_by_name(self, tmp_path, algorithm):
         model = tmp_path / "m.bin"
-        code = main(["train", "--variant", "rlpso", "--mode", "relative",
-                     "--functions", "sphere", "--dim", "2", "--episodes", "1",
-                     "--budget", "40", "--particles", "8", "--seed", "0",
-                     "--out", str(model), "--log-every", "0", *validation])
-        assert code == 2
-        assert "relative mode is undefined for rlpso" in capsys.readouterr().err
+        assert main(["train", "--algo", algorithm, "--functions", "sphere", "--dim", "2",
+                     "--episodes", "1", "--budget", "40", "--particles", "8",
+                     "--validate-every", "0", "--log-every", "0", "--out", str(model)]) == 0
+        variant, mode = harness.MODEL_ALGORITHMS[algorithm]
+        sidecar = (tmp_path / "m.bin.meta").read_text(encoding="utf-8").splitlines()
+        assert f"mode={mode}" in sidecar and f"variant={variant}" in sidecar
+        assert main(["run", "--function", "sphere", "--dim", "2", "--algo", algorithm,
+                     "--model", str(model), "--budget", "400", "--particles", "8",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+
+    def test_schedule_algorithm_is_usage_error(self, tmp_path, capsys):
+        code = main(["train", "--algo", "pso", "--out", str(tmp_path / "m.bin")])
+        assert code == 1
+        [line] = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+        assert "rlapso train: error: argument --algo: invalid choice: 'pso'" in line
+        assert all(name in line for name in ("rlam-absolute", "rlam-relative", "rlpso"))
         assert list(tmp_path.iterdir()) == []
 
     def test_model_variant_mismatch_is_runtime_error(self, tmp_path, capsys):
         model = tmp_path / "m.bin"
-        assert main(["train", "--variant", "pso", "--mode", "absolute",
+        assert main(["train", "--algo", "rlam-absolute",
                      "--functions", "sphere", "--dim", "2", "--episodes", "1",
                      "--budget", "200", "--particles", "8", "--seed", "0",
                      "--out", str(model), "--log-every", "0"]) == 0
@@ -196,7 +205,7 @@ class TestTrainAndModelRuns:
 
     def test_mode_mismatch_is_runtime_error(self, tmp_path, capsys):
         model = tmp_path / "m.bin"
-        assert main(["train", "--variant", "pso", "--mode", "absolute",
+        assert main(["train", "--algo", "rlam-absolute",
                      "--functions", "sphere", "--dim", "2", "--episodes", "1",
                      "--budget", "200", "--particles", "8", "--seed", "0",
                      "--out", str(model), "--log-every", "0"]) == 0

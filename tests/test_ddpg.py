@@ -462,6 +462,13 @@ class TestTrainingLoop:
         with pytest.raises(ValueError, match="emits"):
             train(agent, ["sphere"], 1, "absolute", "rlpso", 2)
 
+    @pytest.mark.parametrize("validate_every", [25, 0])
+    def test_relative_rlpso_refused(self, validate_every):
+        agent = DdpgAgent(action_width("rlpso"), seed=13)
+        with pytest.raises(ValueError, match="relative mode is undefined for rlpso"):
+            train(agent, ["sphere"], 1, "relative", "rlpso", 2,
+                  n_particles=8, budget=40, seed=0, validate_every=validate_every)
+
     def test_unknown_pool_name_rejected_before_any_episode(self):
         agent = DdpgAgent(20, seed=13, warmup=10_000)
         with pytest.raises(ValueError, match="unknown function 'nope' in training pool"):
