@@ -35,6 +35,6 @@ from .harness import (
     wilcoxon_signed_rank,
 )
 from .neural import Mlp, load_weights, save_weights
-from .swarm import CoefficientSet, RunRecord, Swarm, drive, schedule_coeffs
+from .swarm import RunRecord, Swarm, drive
 
 __version__ = "0.1.0"

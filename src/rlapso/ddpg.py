@@ -24,7 +24,7 @@ import numpy as np
 from .benchmarks import FUNCTIONS, make_objective
 from .neural import (AdamState, GradientTape, Mlp, adam_update, load_weights, save_weights,
                      soft_update)
-from .swarm import CONSTANT_COEFFS, SUBGROUPS, RunRecord, Swarm, drive
+from .swarm import CONSTANT_TABLE, SUBGROUPS, RunRecord, Swarm, drive
 
 STATE_WIDTH = 15
 SIN_SCALES = (1.0, 2.0, 4.0, 8.0, 16.0)  # 2**i for i = 0..4
@@ -218,7 +218,7 @@ def coefficient_sets(action, mode: str, variant: str) -> np.ndarray:
     elif mode == "relative":
         if variant == "rlpso":
             raise ValueError("relative mode is undefined for rlpso (no baseline coefficients)")
-        table[:, :width] = slices * 0.5 + CONSTANT_COEFFS[:width]
+        table[:, :width] = slices * 0.5 + CONSTANT_TABLE[0, :width]
         np.clip(table[:, 0], 0.05, 1.2, out=table[:, 0])
     else:
         raise ValueError(f"unknown mode {mode!r}")

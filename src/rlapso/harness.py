@@ -180,8 +180,13 @@ class ExperimentConfig:
                               f"{', '.join(self.algorithms)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
-        if self.runs < 1 or self.budget < self.particles or self.dim < 2:
-            raise ConfigError("runs, budget, and dim must be sensible positive values")
+        if self.runs < 1:
+            raise ConfigError(f"runs must be >= 1, got {self.runs}")
+        if self.budget < self.particles:
+            raise ConfigError(f"budget {self.budget} cannot cover initialization of "
+                              f"{self.particles} particles")
+        if self.dim < 2:
+            raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if self.particles < SUBGROUPS:
             raise ConfigError(f"need at least {SUBGROUPS} particles, got {self.particles}")
         if not self.out_dir:

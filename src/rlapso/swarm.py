@@ -63,7 +63,6 @@ form, which the tests replay.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -79,40 +78,6 @@ TARGETS = {"pso": ("pbest", "gbest"), "clpso": ("exemplar",),
 
 class BudgetExhaustedError(RuntimeError):
     """Raised when a step is requested but no evaluations remain."""
-
-
-class CoefficientSet(NamedTuple):
-    """One subgroup's row of a coefficient table (c3/c4 used by RLPSO only)."""
-
-    w: float
-    c1: float
-    c2: float
-    c3: float = 0.0
-    c4: float = 0.0
-
-
-# the constant schedule, also the origin that relative-mode policies perturb
-CONSTANT_COEFFS = CoefficientSet(0.729, 1.494, 1.494)
-
-
-def schedule_coeffs(kind: str, t: int, t_max: int) -> CoefficientSet:
-    """Offline schedules: constant, linearly decreasing w, TVAC, or CLPSO's
-    linearly decreasing w with its single acceleration coefficient."""
-    if not 0 <= t <= max(t_max, 1):
-        raise ValueError(f"iteration {t} outside [0, {t_max}]")
-    span = max(t_max, 1)
-    if kind == "constant":
-        return CONSTANT_COEFFS
-    w = (span - t) / span * (0.9 - 0.4) + 0.4
-    if kind == "linear_dec_w":
-        return CoefficientSet(w, 2.0, 2.0)
-    if kind == "clpso":
-        return CoefficientSet(w, 1.494, 0.0)
-    if kind == "tvac":
-        c1 = (0.5 - 2.5) * (t / span) + 2.5
-        c2 = (2.5 - 0.5) * (t / span) + 0.5
-        return CoefficientSet(w, c1, c2)
-    raise ValueError(f"unknown schedule kind {kind!r}")
 
 
 @dataclass
@@ -133,24 +98,38 @@ class RunRecord:
     final_fit: float = float("inf")
 
 
-_CONSTANT_TABLE = np.full((SUBGROUPS, 5), CONSTANT_COEFFS)
-_CONSTANT_TABLE.flags.writeable = False
+# the constant schedule's table, also the origin that relative-mode policies perturb
+CONSTANT_TABLE = np.full((SUBGROUPS, 5), (0.729, 1.494, 1.494, 0.0, 0.0))
+CONSTANT_TABLE.flags.writeable = False
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Controller that gives every subgroup one offline schedule's coefficients.
-
-    The constant schedule returns one shared read-only table."""
+    """Controller that gives every subgroup one offline schedule's row: constant
+    (the shared read-only ``CONSTANT_TABLE``), linearly decreasing w, TVAC, or
+    CLPSO's linearly decreasing w with its single acceleration coefficient."""
 
     kind: str
     adapter: str
 
     def __call__(self, swarm: Swarm, t: int, t_max: int) -> np.ndarray:
-        coeffs = schedule_coeffs(self.kind, t, t_max)
+        if not 0 <= t <= max(t_max, 1):
+            raise ValueError(f"iteration {t} outside [0, {t_max}]")
+        span = max(t_max, 1)
         if self.kind == "constant":
-            return _CONSTANT_TABLE
-        return np.full((SUBGROUPS, 5), coeffs)
+            return CONSTANT_TABLE
+        w = (span - t) / span * (0.9 - 0.4) + 0.4
+        if self.kind == "linear_dec_w":
+            row = (w, 2.0, 2.0)
+        elif self.kind == "clpso":
+            row = (w, 1.494, 0.0)
+        elif self.kind == "tvac":
+            c1 = (0.5 - 2.5) * (t / span) + 2.5
+            c2 = (2.5 - 0.5) * (t / span) + 0.5
+            row = (w, c1, c2)
+        else:
+            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        return np.full((SUBGROUPS, 5), (*row, 0.0, 0.0))
 
 
 def learning_probability(i: int, n: int) -> float:

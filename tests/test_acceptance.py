@@ -42,7 +42,7 @@ from rlapso.neural import (
     save_weights,
     soft_update,
 )
-from rlapso.swarm import CoefficientSet, learning_probability
+from rlapso.swarm import learning_probability
 
 PSO_TRAIN_SEED = 0
 RLPSO_TRAIN_SEED = 1
@@ -153,11 +153,11 @@ def test_criterion_2_equation_units(rng):
         for _ in range(400):
             action = rng.uniform(-1, 1, 20)
             table = coefficient_sets(action, "absolute", "pso")
-            for a, c in zip(action.reshape(5, 4), map(CoefficientSet._make, table)):
-                assert 0.1 - 1e-12 <= c.w <= 0.9 + 1e-12
+            for a, (w, c1, c2, _, _) in zip(action.reshape(5, 4), table):
+                assert 0.1 - 1e-12 <= w <= 0.9 + 1e-12
                 ah = (a + 1.0) / 2.0
                 if ah[1] + ah[2] >= 0.1:
-                    assert abs((c.c1 + c.c2) - 8.0 * ah[3]) < 1e-3
+                    assert abs((c1 + c2) - 8.0 * ah[3]) < 1e-3
 
         # relative mapping: zero perturbation is the identity on the constant schedule
         table = coefficient_sets(np.zeros(20), "relative", "pso")

@@ -24,7 +24,7 @@ from rlapso.ddpg import (
     train,
 )
 from rlapso.neural import soft_update
-from rlapso.swarm import CoefficientSet, Swarm, drive
+from rlapso.swarm import Swarm, drive
 
 
 class TestObserve:
@@ -45,14 +45,14 @@ class TestObserve:
 
     def test_stagnation_zero_after_improving_iteration(self):
         swarm = Swarm(flat_objective(2), 10, 500, seed=4)
-        improved = swarm.step([CoefficientSet(0.7, 1.5, 1.5)] * 5)
+        improved = swarm.step([(0.7, 1.5, 1.5, 0.0, 0.0)] * 5)
         assert improved
         assert observe(swarm).stagnation_frac == 0.0
 
     def test_stagnation_grows_when_frozen(self):
         swarm = Swarm(flat_objective(2), 10, 500, seed=5)
         for _ in range(3):
-            swarm.step([CoefficientSet(0.0, 0.0, 0.0)] * 5)  # frozen: never improves
+            swarm.step([(0.0, 0.0, 0.0, 0.0, 0.0)] * 5)  # frozen: never improves
         assert observe(swarm).stagnation_frac == 30 / 500
 
 
@@ -82,10 +82,10 @@ class TestEncode:
 
 
 def mapped_rows(action, mode="absolute", variant="pso"):
-    """``coefficient_sets``' table as one CoefficientSet per subgroup."""
+    """``coefficient_sets``' table as one (w, c1, c2, c3, c4) tuple per subgroup."""
     table = coefficient_sets(action, mode, variant)
     assert table.shape == (5, 5) and table.dtype == np.float64
-    return [CoefficientSet(*row) for row in table]
+    return [tuple(row) for row in table.tolist()]
 
 
 def map_slice(piece, mode="absolute", variant="pso"):
@@ -97,65 +97,66 @@ def map_slice(piece, mode="absolute", variant="pso"):
 
 class TestAbsoluteMapper:
     def test_all_low_action_gives_minimum_inertia_and_zero_pull(self):
-        c = map_slice([-1.0, -1.0, -1.0, -1.0])
-        assert c.w == pytest.approx(0.1, abs=1e-15)
-        assert c.c1 == 0.0 and c.c2 == 0.0
+        w, c1, c2, _, _ = map_slice([-1.0, -1.0, -1.0, -1.0])
+        assert w == pytest.approx(0.1, abs=1e-15)
+        assert c1 == 0.0 and c2 == 0.0
 
     def test_symmetric_shares_split_budget_evenly(self):
-        c = map_slice([1.0, 0.2, 0.2, 1.0])
-        assert c.w == pytest.approx(0.9, abs=1e-15)
-        assert c.c1 == pytest.approx(c.c2, rel=1e-12)
-        assert c.c1 + c.c2 == pytest.approx(8.0, abs=1e-3)
+        w, c1, c2, _, _ = map_slice([1.0, 0.2, 0.2, 1.0])
+        assert w == pytest.approx(0.9, abs=1e-15)
+        assert c1 == pytest.approx(c2, rel=1e-12)
+        assert c1 + c2 == pytest.approx(8.0, abs=1e-3)
 
     def test_hand_evaluated_mapping(self):
         # unit-interval targets (0.5, 0.3, 0.1, 0.5) fed as raw tanh outputs
-        c = map_slice([0.0, -0.4, -0.8, 0.0])
+        w, c1, c2, _, _ = map_slice([0.0, -0.4, -0.8, 0.0])
         scale = 1.0 / (0.3 + 0.1 + 1e-5) * 0.5 * 8.0
-        assert c.w == pytest.approx(0.5, abs=1e-12)
-        assert c.c1 == pytest.approx(scale * 0.3, rel=1e-9)
-        assert c.c2 == pytest.approx(scale * 0.1, rel=1e-9)
-        assert c.c1 == pytest.approx(2.99993, abs=1e-4)
-        assert c.c2 == pytest.approx(0.99998, abs=1e-4)
+        assert w == pytest.approx(0.5, abs=1e-12)
+        assert c1 == pytest.approx(scale * 0.3, rel=1e-9)
+        assert c2 == pytest.approx(scale * 0.1, rel=1e-9)
+        assert c1 == pytest.approx(2.99993, abs=1e-4)
+        assert c2 == pytest.approx(0.99998, abs=1e-4)
 
     def test_range_invariants_for_random_actions(self, rng):
         for _ in range(200):
-            for c in mapped_rows(rng.uniform(-1, 1, 20)):
-                assert 0.1 - 1e-12 <= c.w <= 0.9 + 1e-12
-                assert c.c1 >= 0.0 and c.c2 >= 0.0
-                assert c.c1 + c.c2 <= 8.0 + 1e-3
-                assert c.c3 == 0.0 and c.c4 == 0.0
+            for w, c1, c2, c3, c4 in mapped_rows(rng.uniform(-1, 1, 20)):
+                assert 0.1 - 1e-12 <= w <= 0.9 + 1e-12
+                assert c1 >= 0.0 and c2 >= 0.0
+                assert c1 + c2 <= 8.0 + 1e-3
+                assert c3 == 0.0 and c4 == 0.0
 
     def test_budget_tracks_fourth_component(self, rng):
         for _ in range(40):
             action = rng.uniform(-1, 1, 20)
-            for a, c in zip(action.reshape(5, 4), mapped_rows(action)):
+            for a, (_, c1, c2, _, _) in zip(action.reshape(5, 4), mapped_rows(action)):
                 ah = (a + 1.0) / 2.0
                 if ah[1] + ah[2] < 0.1:
                     continue
-                assert c.c1 + c.c2 == pytest.approx(8.0 * ah[3], abs=1e-3)
+                assert c1 + c2 == pytest.approx(8.0 * ah[3], abs=1e-3)
 
 
 class TestRlpsoMapper:
     def test_gate_taken_directly_from_last_component(self):
-        c = map_slice([0.0, 0.0, 0.0, 0.0, 0.5], variant="rlpso")
-        assert c.c4 == 0.75  # (0.5 + 1) / 2
+        c4 = map_slice([0.0, 0.0, 0.0, 0.0, 0.5], variant="rlpso")[4]
+        assert c4 == 0.75  # (0.5 + 1) / 2
 
     def test_budget_tracks_gate_component(self, rng):
         for _ in range(40):
             action = rng.uniform(-1, 1, 25)
-            for a, c in zip(action.reshape(5, 5), mapped_rows(action, variant="rlpso")):
+            rows = mapped_rows(action, variant="rlpso")
+            for a, (_, c1, c2, c3, _) in zip(action.reshape(5, 5), rows):
                 ah = (a + 1.0) / 2.0
                 if ah[1] + ah[2] + ah[3] < 0.1:
                     continue
-                assert c.c1 + c.c2 + c.c3 == pytest.approx(8.0 * ah[4], abs=1e-3)
+                assert c1 + c2 + c3 == pytest.approx(8.0 * ah[4], abs=1e-3)
 
     def test_three_shares_fill_budget(self, rng):
         for _ in range(100):
-            for c in mapped_rows(rng.uniform(-1, 1, 25), variant="rlpso"):
-                assert 0.1 - 1e-12 <= c.w <= 0.9 + 1e-12
-                assert min(c.c1, c.c2, c.c3) >= 0.0
-                assert c.c1 + c.c2 + c.c3 <= 8.0 + 1e-3
-                assert 0.0 <= c.c4 <= 1.0
+            for w, c1, c2, c3, c4 in mapped_rows(rng.uniform(-1, 1, 25), variant="rlpso"):
+                assert 0.1 - 1e-12 <= w <= 0.9 + 1e-12
+                assert min(c1, c2, c3) >= 0.0
+                assert c1 + c2 + c3 <= 8.0 + 1e-3
+                assert 0.0 <= c4 <= 1.0
 
 
 class TestRelativeMapper:
@@ -163,22 +164,22 @@ class TestRelativeMapper:
 
     def test_zero_action_is_identity(self):
         c = map_slice(np.zeros(4), "relative")
-        assert (c.w, c.c1, c.c2, c.c3, c.c4) == (0.729, 1.494, 1.494, 0.0, 0.0)
+        assert c == (0.729, 1.494, 1.494, 0.0, 0.0)
 
     def test_full_positive_inertia_shift(self):
         # 0.729 + 0.5 passes the 1.2 ceiling; the attraction terms shift freely
-        c = map_slice([1.0, 1.0, 1.0, 0.0], "relative")
-        assert c.w == pytest.approx(1.2, abs=1e-15)
-        assert c.c1 == pytest.approx(1.994, abs=1e-15)
+        w, c1, _, _, _ = map_slice([1.0, 1.0, 1.0, 0.0], "relative")
+        assert w == pytest.approx(1.2, abs=1e-15)
+        assert c1 == pytest.approx(1.994, abs=1e-15)
 
     def test_inertia_clamped_low(self):
         # w drops below the 0.05 floor only for a component below -1.358
-        c = map_slice([-1.4, 0.0, 0.0, 0.0], "relative")
-        assert c.w == 0.05
+        w = map_slice([-1.4, 0.0, 0.0, 0.0], "relative")[0]
+        assert w == 0.05
 
     def test_pso_row_keeps_c4_at_zero(self):
-        c = map_slice([0.2, 0.2, 0.2, 0.2], "relative")
-        assert c.c3 == 0.2 * 0.5 and c.c4 == 0.0
+        c3, c4 = map_slice([0.2, 0.2, 0.2, 0.2], "relative")[3:]
+        assert c3 == 0.2 * 0.5 and c4 == 0.0
 
 
 def _reference_absolute(a):
@@ -392,11 +393,11 @@ class TestCoefficientPlumbing:
         action = np.concatenate([np.full(4, -1.0), np.full(4, 1.0),
                                  np.zeros(4), np.zeros(4), np.zeros(4)])
         action[12:16] = [1.0, 0.2, 0.2, 1.0]
-        sets = mapped_rows(action)
-        assert len(sets) == 5
-        assert sets[0].w == pytest.approx(0.1, abs=1e-15)
-        assert sets[1].w == pytest.approx(0.9, abs=1e-15)
-        assert sets[3].c1 + sets[3].c2 == pytest.approx(8.0, abs=1e-3)
+        rows = mapped_rows(action)
+        assert len(rows) == 5
+        assert rows[0][0] == pytest.approx(0.1, abs=1e-15)
+        assert rows[1][0] == pytest.approx(0.9, abs=1e-15)
+        assert rows[3][1] + rows[3][2] == pytest.approx(8.0, abs=1e-3)
 
     def test_relative_rejects_rlpso(self):
         with pytest.raises(ValueError, match="relative"):
@@ -423,8 +424,7 @@ class TestCoefficientPlumbing:
         # a zero action leaves relative mode at its origin
         controller = PolicyController(ZeroPolicy(), "relative", "pso")
         sets = controller(Swarm(flat_objective(2), 10, 1000, seed=1), 10, 100)
-        assert [(c.w, c.c1, c.c2) for c in map(CoefficientSet._make, sets)] \
-            == [(0.729, 1.494, 1.494)] * 5
+        assert sets[:, :3].tolist() == [[0.729, 1.494, 1.494]] * 5
 
 
 class TestTrainingLoop:
@@ -551,8 +551,8 @@ class TestAdaptedRun:
         for b in agent.actor.biases:
             b[:] = 0.0
         expected = map_slice(np.zeros(4))
-        assert expected.w == 0.5
-        assert expected.c1 == pytest.approx(2.0, abs=1e-4)
+        assert expected[0] == 0.5
+        assert expected[1] == pytest.approx(2.0, abs=1e-4)
 
         obj = make_objective("sphere", 3, 79)
         seed = 5

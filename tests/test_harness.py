@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="need at least 5 particles, got 3"):
             parse_config("functions=sphere\nalgorithms=pso\nparticles = 3\n")
 
+    @pytest.mark.parametrize("setting, message", [
+        ("runs = 0", "runs must be >= 1, got 0"),
+        ("budget = 30", "budget 30 cannot cover initialization of 40 particles"),
+        ("dim = 1", "dim must be >= 2, got 1"),
+    ])
+    def test_size_refusal_names_its_key_and_value(self, setting, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(f"functions=sphere\nalgorithms=pso\n{setting}\n")
+
     def test_repeated_function_rejected(self):
         with pytest.raises(ConfigError, match="functions lists 'sphere' more than once"):
             parse_config("functions=sphere, rastrigin, sphere\nalgorithms=pso\n")
@@ -338,6 +348,14 @@ class TestRunExperiment:
         assert pooled.wins == sum(r.wins for r in per_fn)
         assert pooled.losses == sum(r.losses for r in per_fn)
         assert pooled.wins + pooled.losses <= len(cfg.functions)
+
+
+class TestCurveCsv:
+    def test_wrong_header_named_with_its_path(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("count,best\n40,1.5\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"header 'count,best' in {path}")):
+            read_curve_csv(path)
 
 
 class TestSummaryCsv:

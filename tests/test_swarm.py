@@ -10,20 +10,22 @@ import pytest
 from conftest import CountingObjective, ScriptedRng, flat_objective
 from rlapso.benchmarks import make_objective
 from rlapso.swarm import (
-    CONSTANT_COEFFS,
+    CONSTANT_TABLE,
     SUBGROUPS,
     BudgetExhaustedError,
-    CoefficientSet,
     Schedule,
     Swarm,
     drive,
     learning_probability,
-    schedule_coeffs,
 )
 
 
 def const_coeffs(w, c1, c2, c3=0.0, c4=0.0, groups=SUBGROUPS):
-    return [CoefficientSet(w, c1, c2, c3, c4)] * groups
+    return [(w, c1, c2, c3, c4)] * groups
+
+
+def schedule_table(kind, t, t_max):
+    return Schedule(kind, "tag")(None, t, t_max)
 
 
 class TestInit:
@@ -400,26 +402,26 @@ class _Oracle:
                 self.cut_short = True
                 break
             x = self.pos[i]
-            c = coeffs[self._group(i)]
+            w, c1, c2, c3, c4 = coeffs[self._group(i)]
             if variant == "clpso":
                 r = self.rng.random(self.dim)
-                v = self._clip(c.w * self.vel[i] + c.c1 * r * (self._target(i) - x))
+                v = self._clip(w * self.vel[i] + c1 * r * (self._target(i) - x))
                 self._record(i, self._land(i, x + v, v), m)
                 continue
             if variant == "pso":
                 r1 = self.rng.random(self.dim)
                 r2 = self.rng.random(self.dim)
-                v = c.w * self.vel[i] + c.c1 * r1 * (self.pbest_pos[i] - x) \
-                    + c.c2 * r2 * (self.gbest_pos - x)
+                v = w * self.vel[i] + c1 * r1 * (self.pbest_pos[i] - x) \
+                    + c2 * r2 * (self.gbest_pos - x)
                 v = self._clip(v)
                 self._record(i, self._land(i, x + v, v))
                 continue
             r1, r2, r3 = np.split(rows[i][:-1], 3)
             r4 = rows[i][-1]
-            v = c.w * self.vel[i] + c.c1 * r1 * (self._target(i) - x) \
-                + c.c2 * r2 * (self.gbest_pos - x) + c.c3 * r3 * (self.pbest_pos[i] - x)
+            v = w * self.vel[i] + c1 * r1 * (self._target(i) - x) \
+                + c2 * r2 * (self.gbest_pos - x) + c3 * r3 * (self.pbest_pos[i] - x)
             v = self._clip(v)
-            if r4 < c.c4 * 0.01 * self.stall[i]:
+            if r4 < c4 * 0.01 * self.stall[i]:
                 self.mutations += 1
                 self.early_mutations += int(i < self._last)
                 x = self.rng.uniform(self.obj.lower, self.obj.upper, self.dim)
@@ -436,11 +438,11 @@ class _Oracle:
 
 # five subgroups with distinct coefficients; w > 1 and large c's force clamping
 STRESS_COEFFS = [
-    CoefficientSet(1.4, 2.5, 0.5, 0.3, 0.0),
-    CoefficientSet(0.9, 0.4, 2.8, 1.7, 0.4),
-    CoefficientSet(1.2, 1.9, 1.9, 0.0, 1.0),
-    CoefficientSet(0.3, 3.0, 1.1, 2.2, 0.7),
-    CoefficientSet(1.7, 0.8, 2.2, 0.9, 1.0),
+    (1.4, 2.5, 0.5, 0.3, 0.0),
+    (0.9, 0.4, 2.8, 1.7, 0.4),
+    (1.2, 1.9, 1.9, 0.0, 1.0),
+    (0.3, 3.0, 1.1, 2.2, 0.7),
+    (1.7, 0.8, 2.2, 0.9, 1.0),
 ]
 
 
@@ -505,7 +507,7 @@ class TestDrawOrderOracle:
         """40 particles on 10-D sphere for 15 iterations: gbest improves
         before the last particle, and twice within one iteration, so every
         later particle of those iterations must steer by the new gbest."""
-        coeffs = [CONSTANT_COEFFS] * 5
+        coeffs = CONSTANT_TABLE
         swarm = Swarm(make_objective("sphere", 10, 4), 40, 40 * 16, seed=4)
         oracle = _Oracle(swarm)
         for _ in range(15):
@@ -567,7 +569,7 @@ class TestDrawOrderOracle:
             worst = int(np.argmax(swarm.pbest_fit))
             swarm.gbest_fit = float(swarm.pbest_fit[worst])
             swarm.gbest_pos = swarm.pbest_pos[worst].copy()
-        coeffs = [CoefficientSet(0.729, 1.494, 1.494, 1.0, 1.0)] * 5
+        coeffs = const_coeffs(0.729, 1.494, 1.494, c3=1.0, c4=1.0)
         oracle = _Oracle(swarm)
         for _ in range(15):
             expected = oracle.step(variant, coeffs)
@@ -629,34 +631,42 @@ class TestTwoGenerators:
 
 class TestSchedules:
     def test_linear_w_endpoints(self):
-        assert schedule_coeffs("linear_dec_w", 0, 100).w == pytest.approx(0.9)
-        assert schedule_coeffs("linear_dec_w", 100, 100).w == pytest.approx(0.4)
+        assert schedule_table("linear_dec_w", 0, 100)[:, 0] == pytest.approx(0.9)
+        assert schedule_table("linear_dec_w", 100, 100)[:, 0] == pytest.approx(0.4)
 
     def test_tvac_midpoint_crossover(self):
-        c = schedule_coeffs("tvac", 50, 100)
-        assert c.c1 == pytest.approx(1.5)
-        assert c.c2 == pytest.approx(1.5)
+        table = schedule_table("tvac", 50, 100)
+        assert table[:, 1] == pytest.approx(1.5)
+        assert table[:, 2] == pytest.approx(1.5)
 
     def test_tvac_endpoints(self):
-        start, end = schedule_coeffs("tvac", 0, 200), schedule_coeffs("tvac", 200, 200)
-        assert (start.c1, start.c2) == (2.5, 0.5)
-        assert (end.c1, end.c2) == (0.5, 2.5)
+        start, end = schedule_table("tvac", 0, 200), schedule_table("tvac", 200, 200)
+        assert start[:, 1:3].tolist() == [[2.5, 0.5]] * 5
+        assert end[:, 1:3].tolist() == [[0.5, 2.5]] * 5
 
     def test_constant_values(self):
-        c = schedule_coeffs("constant", 17, 100)
-        assert (c.w, c.c1, c.c2) == (0.729, 1.494, 1.494)
+        table = schedule_table("constant", 17, 100)
+        assert table[:, :3].tolist() == [[0.729, 1.494, 1.494]] * 5
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown schedule"):
-            schedule_coeffs("exponential", 0, 10)
+            schedule_table("exponential", 0, 10)
 
     def test_iteration_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            schedule_coeffs("constant", 11, 10)
+            schedule_table("constant", 11, 10)
 
     def test_clpso_values(self):
-        c = schedule_coeffs("clpso", 25, 100)
-        assert (c.w, c.c1) == (schedule_coeffs("linear_dec_w", 25, 100).w, 1.494)
+        table = schedule_table("clpso", 25, 100)
+        assert table[:, :2].tolist() == \
+            [[schedule_table("linear_dec_w", 25, 100)[0, 0], 1.494]] * 5
+
+    @pytest.mark.parametrize("kind", ["linear_dec_w", "clpso", "tvac"])
+    def test_every_subgroup_gets_one_fresh_row(self, kind):
+        table = schedule_table(kind, 3, 9)
+        assert table.shape == (5, 5) and table.dtype == np.float64
+        assert table.flags.writeable and table is not schedule_table(kind, 3, 9)
+        assert (table == table[0]).all() and (table[:, 3:] == 0.0).all()
 
     @pytest.mark.parametrize("variant", ["pso", "clpso", "rlpso"])
     def test_constant_table_is_shared_and_read_only(self, variant):
@@ -665,7 +675,8 @@ class TestSchedules:
         table = schedule(swarm, 0, 8)
         assert not table.flags.writeable
         assert schedule(swarm, 8, 8) is table
-        assert np.array_equal(table, np.full((5, 5), CONSTANT_COEFFS))
+        assert table is CONSTANT_TABLE
+        assert np.array_equal(table, np.full((5, 5), (0.729, 1.494, 1.494, 0.0, 0.0)))
         drive(swarm, schedule)  # a step writing into its table would raise
         assert Schedule("constant", "other")(swarm, 0, 8) is table
         with pytest.raises(ValueError, match="outside"):
@@ -715,7 +726,7 @@ class TestDrive:
         mirror = Swarm(obj, 10, 45, seed=22, variant=variant)
         curve = [(10, mirror.gbest_fit)]
         for t in range(4):
-            mirror.step([schedule_coeffs("tvac", t, 3)] * 5)
+            mirror.step(schedule_table("tvac", t, 3))
             curve.append((mirror.eval_count, mirror.gbest_fit))
         assert record.curve == curve
         assert curve[-1][0] == 45
