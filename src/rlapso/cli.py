@@ -1,4 +1,4 @@
-"""Command-line interface: train / run / compare / bench.
+"""Command-line interface: train / run / compare.
 
 Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
@@ -11,10 +11,9 @@ from pathlib import Path
 import numpy as np
 
 from . import ddpg, harness
-from .benchmarks import FUNCTIONS, make_objective
+from .benchmarks import FUNCTIONS
 from .ddpg import DdpgAgent, action_width
 from .harness import ALGORITHMS, MODEL_ALGORITHMS
-from .swarm import Swarm, drive
 
 
 def _seed(text: str) -> int:
@@ -60,7 +59,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="run a full comparison experiment from a config file")
     compare.add_argument("--config", required=True)
 
-    sub.add_parser("bench", help="quick smoke suite")
     return parser
 
 
@@ -94,61 +92,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_bench() -> int:
-    labels, failed = [], []
-
-    def check(label, passed):
-        labels.append(label)
-        if passed:
-            print(f"bench: {label}: ok")
-        else:
-            print(f"bench: {label}: FAILED", file=sys.stderr)
-            failed.append(label)
-
-    passed = True
-    for fn in FUNCTIONS:
-        obj = make_objective(fn, 2, seed=99)
-        if fn != "composition":
-            passed &= abs(obj.evaluate(obj.shift) - obj.bias) < 1e-9
-        passed &= np.abs(obj.rotation.T @ obj.rotation - np.eye(2)).max() < 1e-9
-    check("objectives hit their bias at the shift, rotations orthogonal", passed)
-
-    obj = make_objective("sphere", 2, seed=5)
-    passed = True
-    rlpso_model = (DdpgAgent(action_width("rlpso"), seed=12), {})
-    for algorithm, model in (("pso", None), ("clpso", None), ("rlpso", rlpso_model)):
-        variant, controller = harness.controller_for(algorithm, model)
-        swarm = Swarm(obj, 10, 400, seed=3, variant=variant)
-        curve = drive(swarm, controller).curve
-        fits = [fit for _, fit in curve]
-        passed &= all(b <= a for a, b in zip(fits, fits[1:]))
-        passed &= curve[-1][0] == swarm.eval_count == swarm.eval_budget
-        passed &= bool(np.all(swarm.positions >= obj.lower) and np.all(swarm.positions <= obj.upper))
-    check("all step variants keep monotone gbest, bounds, and the budget", passed)
-
-    agent = DdpgAgent(action_width("pso"), seed=11)
-    rec1 = ddpg.adapted_run(agent, obj, "pso", "absolute", 400, seed=8, n_particles=10)
-    rec2 = ddpg.adapted_run(agent, obj, "pso", "absolute", 400, seed=8, n_particles=10)
-    check("adapted runs are deterministic", rec1.curve == rec2.curve)
-
-    stat, p = harness.wilcoxon_signed_rank([1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 0])
-    check("wilcoxon matches the all-positive exact case", stat == 0.0 and abs(p - 0.03125) < 1e-12)
-
-    rng = np.random.default_rng(0)
-    rows = np.vstack([ddpg.coefficient_sets(rng.uniform(-1, 1, 20), "absolute", "pso")
-                      for _ in range(40)])
-    w, c1, c2 = rows[:, 0], rows[:, 1], rows[:, 2]
-    check("absolute action mapping stays in range",
-          bool(np.all((0.1 - 1e-12 <= w) & (w <= 0.9 + 1e-12) & (c1 >= 0) & (c2 >= 0)
-                      & (c1 + c2 <= 8 + 1e-3))))
-
-    if failed:
-        print(f"bench: {len(failed)} checks failed", file=sys.stderr)
-        return 2
-    print(f"bench: {len(labels)} checks passed")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -166,9 +109,7 @@ def main(argv=None) -> int:
             return _cmd_train(args)
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        return _cmd_bench()
+        return _cmd_compare(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

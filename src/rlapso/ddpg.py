@@ -378,11 +378,12 @@ class ActorPolicy:
 
 def key_value_lines(text: str):
     """Read the ``key = value`` lines of a model sidecar or an experiment
-    config: ``text`` splits into lines by ``str.splitlines``, ``#`` starts a
-    comment, blank lines are skipped, and each other line yields
-    ``(line number, line, key, value)``, split at its first ``=`` and
-    stripped, with value None where it has no ``=``.  Refusals are the
-    caller's."""
+    config: one leading byte-order mark (U+FEFF) is dropped, ``text`` splits
+    into lines by ``str.splitlines``, ``#`` starts a comment, blank lines are
+    skipped, and each other line yields ``(line number, line, key, value)``,
+    split at its first ``=`` and stripped, with value None where it has no
+    ``=``.  Refusals are the caller's."""
+    text = text.removeprefix("\ufeff")
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:

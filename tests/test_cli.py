@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and file outputs (run in-process)."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -21,7 +22,6 @@ class TestHelp:
         ["train", "--help"],
         ["run", "--help"],
         ["compare", "--help"],
-        ["bench", "--help"],
     ])
     def test_help_exits_zero(self, argv, capsys):
         assert main(argv) == 0
@@ -32,11 +32,12 @@ class TestTopLevelUsage:
     @pytest.mark.parametrize("argv, message", [
         ([], "the following arguments are required: command"),
         (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+        (["bench"], "argument command: invalid choice: 'bench'"),
     ])
     def test_usage_error_prints_usage_and_exits_one(self, argv, message, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage: rlapso [-h] {train,run,compare,bench}")
+        assert err.startswith("usage: rlapso [-h] {train,run,compare}")
         assert f"rlapso: error: {message}" in err
 
 
@@ -124,7 +125,15 @@ class TestCompare:
             f"dim=2\nruns=3\nbudget=400\nparticles=8\nseed=2\nout_dir={tmp_path / 'out'}\n"
         )
         assert main(["compare", "--config", str(cfg)]) == 0
-        assert (tmp_path / "out" / "summary.csv").exists()
+        summary = tmp_path / "out" / "summary.csv"
+        with open(summary, encoding="utf-8", newline="") as f:
+            medians = {(row["function"], row["algorithm"]): float(row["median"])
+                       for row in csv.DictReader(f)}
+        assert capsys.readouterr().out.splitlines() == [
+            *(f"sphere / {algorithm}: median final {medians['sphere', algorithm]:.6g} "
+              "over 3 runs" for algorithm in ("pso", "pso-linear")),
+            f"wrote {summary}",
+        ]
 
 
 class TestTrainAndModelRuns:
@@ -311,25 +320,6 @@ class TestMissingOutDirectory:
         assert str(out_dir) in err
         assert list(tmp_path.iterdir()) == [out_dir]
         assert list(out_dir.iterdir()) == []
-
-
-class TestBench:
-    def test_bench_smoke_suite_passes(self, capsys):
-        assert main(["bench"]) == 0
-        out = capsys.readouterr().out
-        assert "checks passed" in out
-
-    def test_failed_check_exits_nonzero_under_optimize(self):
-        # python -O strips assert statements; the bench checks must not rely on them
-        env = dict(os.environ, PYTHONPATH=str(Path(rlapso.__file__).resolve().parents[1]))
-        code = ("import sys; from rlapso import cli, harness; "
-                "harness.wilcoxon_signed_rank = lambda x, y: (1.0, 0.5); "
-                "sys.exit(cli.main(['bench']))")
-        done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 2
-        assert "wilcoxon matches the all-positive exact case: FAILED" in done.stderr
-        assert "adapted runs are deterministic: ok" in done.stdout
 
 
 class TestBlasThreads:

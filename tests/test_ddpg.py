@@ -671,6 +671,21 @@ class TestModelFiles:
         with pytest.raises(ValueError, match=f"model.bin.meta declares no {' or '.join(dropped)}$"):
             load_model(path)
 
+    def test_sidecar_byte_order_mark_is_dropped(self, tmp_path):
+        from rlapso.harness import run_single
+
+        path = tmp_path / "model.bin"
+        save_model(DdpgAgent(20, seed=19).actor, path, mode="absolute", variant="pso",
+                   pool=["sphere"], episodes=1, seed=19)
+        _, plain = load_model(path)
+        sidecar = tmp_path / "model.bin.meta"
+        sidecar.write_text(sidecar.read_text(encoding="utf-8"), encoding="utf-8-sig")
+        assert sidecar.read_bytes().startswith(b"\xef\xbb\xbf")
+        _, marked = load_model(path)
+        assert marked == plain
+        rec = run_single("rlam-absolute", "sphere", 2, 1, 100, 1, particles=8, model=path)
+        assert rec.adapter == "rlam-absolute"
+
     def test_missing_sidecar_rejected(self, tmp_path):
         agent = DdpgAgent(20, seed=19)
         path = tmp_path / "model.bin"

@@ -221,6 +221,14 @@ class TestConfig:
                                               "reads one: pso, clpso"):
             parse_config("functions=sphere\nalgorithms=pso, clpso\nmodel = missing.bin\n")
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = "functions = sphere, rastrigin\nalgorithms = pso\nruns = 3\n"
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert load_config(marked) == load_config(plain)
+
     def test_missing_file_raises_filenotfound(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="missing.cfg"):
             load_config(tmp_path / "missing.cfg")
