@@ -672,8 +672,6 @@ class TestModelFiles:
             load_model(path)
 
     def test_sidecar_byte_order_mark_is_dropped(self, tmp_path):
-        from rlapso.harness import run_single
-
         path = tmp_path / "model.bin"
         save_model(DdpgAgent(20, seed=19).actor, path, mode="absolute", variant="pso",
                    pool=["sphere"], episodes=1, seed=19)
@@ -683,8 +681,6 @@ class TestModelFiles:
         assert sidecar.read_bytes().startswith(b"\xef\xbb\xbf")
         _, marked = load_model(path)
         assert marked == plain
-        rec = run_single("rlam-absolute", "sphere", 2, 1, 100, 1, particles=8, model=path)
-        assert rec.adapter == "rlam-absolute"
 
     def test_missing_sidecar_rejected(self, tmp_path):
         agent = DdpgAgent(20, seed=19)
