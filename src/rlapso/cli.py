@@ -71,9 +71,12 @@ def _cmd_train(args) -> int:
                      validate_every=args.validate_every, log_every=args.log_every)
     ddpg.save_model(agent.actor, args.out, mode=mode, variant=variant,
                     pool=pool, episodes=args.episodes, seed=args.seed)
-    finals = [rec.final_gbest for rec in log[-20:]]
-    print(f"trained {args.episodes} episodes; last-20 median final gbest "
-          f"{float(np.median(finals)):.6g}; model written to {args.out}")
+    errors: dict = {}  # per function, since the pool's optima differ
+    for rec in log[-20:]:
+        errors.setdefault(rec.function, []).append(rec.final_gbest - FUNCTIONS[rec.function].bias)
+    medians = ", ".join(f"{fn} {float(np.median(e))!r}" for fn, e in errors.items())
+    print(f"trained {args.episodes} episodes; last-20 median error to the optimum: "
+          f"{medians}; model written to {args.out}")
     return 0
 
 
@@ -87,7 +90,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = harness.load_config(args.config)
-    _, summary = harness.run_experiment(config, quiet=False)
+    harness.run_experiment(config, quiet=False)
     print(f"wrote {Path(config.out_dir) / 'summary.csv'}")
     return 0
 

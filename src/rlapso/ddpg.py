@@ -244,7 +244,7 @@ class PolicyController:
         self.adapter = f"rlam-{mode}"
         self.state = self.action = None
 
-    def __call__(self, swarm: Swarm, t: int, t_max: int) -> np.ndarray:
+    def __call__(self, swarm: Swarm) -> np.ndarray:
         self.state = encode(observe(swarm))
         self.action = self.policy.act(self.state, explore=self.explore)
         return coefficient_sets(self.action, self.mode, self.variant)

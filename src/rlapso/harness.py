@@ -370,8 +370,8 @@ def run_experiment(config: ExperimentConfig, quiet: bool = True):
                 finals[(fn, alg)].append(rec.final_fit)
                 records.append(rec)
             if not quiet:
-                med = float(np.median(finals[(fn, alg)]))
-                print(f"{fn} / {alg}: median final {med:.6g} over {config.runs} runs")
+                print(f"{fn} / {alg}: median final {_fmt(np.median(finals[(fn, alg)]))} "
+                      f"over {config.runs} runs")
     summary = summarize(finals, config)
     with open(out / "summary.csv", "w", encoding="utf-8", newline="\n") as f:
         for line in summary.csv_lines():

@@ -8,12 +8,12 @@ followed by a stall-gated position mutation.  ``Swarm.step`` runs the
 swarm's own variant.
 
 Controller contract: ``drive`` is the one loop that runs a swarm to its
-budget.  Per iteration it calls ``controller(swarm, t, t_max)`` once, steps,
-appends (eval_count, gbest) to the curve, then calls ``on_step(swarm,
-prev_best)`` if given.  The controller returns a float64 coefficient table
-of shape ``(SUBGROUPS, 5)``, one row per subgroup with columns ``w, c1,
-c2, c3, c4``, never draws from the swarm's generators, and its ``adapter``
-attribute tags the run's record; 0 <= t <= t_max = max(1, budget // n - 1).
+budget.  Per iteration it calls ``controller(swarm)`` once, steps, appends
+(eval_count, gbest) to the curve, then calls ``on_step(swarm, prev_best)``
+if given.  The swarm is the controller's only input.  The controller
+returns a float64 coefficient table of shape ``(SUBGROUPS, 5)``, one row per
+subgroup with columns ``w, c1, c2, c3, c4``, never draws from the swarm's
+generators, and its ``adapter`` attribute tags the run's record.
 ``Schedule`` runs the offline schedules, ``ddpg.PolicyController`` a
 trained policy.  The table is all a step takes, and each particle reads its
 own subgroup's row: w, and column m + 1 for its m-th target, so PSO reads
@@ -107,26 +107,25 @@ CONSTANT_TABLE.flags.writeable = False
 class Schedule:
     """Controller that gives every subgroup one offline schedule's row: constant
     (the shared read-only ``CONSTANT_TABLE``), linearly decreasing w, TVAC, or
-    CLPSO's linearly decreasing w with its single acceleration coefficient."""
+    CLPSO's linearly decreasing w with its single acceleration coefficient.
+    It reads iteration t = eval_count // n - 1 of max(1, eval_budget // n - 1)
+    from the swarm: initialization and every step but a budget's last evaluate n."""
 
     kind: str
     adapter: str
 
-    def __call__(self, swarm: Swarm, t: int, t_max: int) -> np.ndarray:
-        if not 0 <= t <= max(t_max, 1):
-            raise ValueError(f"iteration {t} outside [0, {t_max}]")
-        span = max(t_max, 1)
+    def __call__(self, swarm: Swarm) -> np.ndarray:
         if self.kind == "constant":
             return CONSTANT_TABLE
+        t = swarm.eval_count // swarm.n - 1
+        span = max(1, swarm.eval_budget // swarm.n - 1)
         w = (span - t) / span * (0.9 - 0.4) + 0.4
         if self.kind == "linear_dec_w":
             row = (w, 2.0, 2.0)
         elif self.kind == "clpso":
             row = (w, 1.494, 0.0)
         elif self.kind == "tvac":
-            c1 = (0.5 - 2.5) * (t / span) + 2.5
-            c2 = (2.5 - 0.5) * (t / span) + 0.5
-            row = (w, c1, c2)
+            row = (w, (0.5 - 2.5) * (t / span) + 2.5, (2.5 - 0.5) * (t / span) + 0.5)
         else:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         return np.full((SUBGROUPS, 5), (*row, 0.0, 0.0))
@@ -326,14 +325,11 @@ def drive(swarm: Swarm, controller, on_step=None) -> RunRecord:
     record = RunRecord(swarm.objective.id, swarm.dim, swarm.seed, swarm.variant,
                        controller.adapter)
     record.curve.append((swarm.eval_count, swarm.gbest_fit))
-    t_max = max(1, swarm.eval_budget // swarm.n - 1)
-    t = 0
     while swarm.eval_count < swarm.eval_budget:
         prev_best = swarm.gbest_fit
-        swarm.step(controller(swarm, t, t_max))
+        swarm.step(controller(swarm))
         record.curve.append((swarm.eval_count, swarm.gbest_fit))
         if on_step is not None:
             on_step(swarm, prev_best)
-        t += 1
     record.final_fit = swarm.gbest_fit
     return record

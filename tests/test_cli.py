@@ -127,10 +127,12 @@ class TestCompare:
         assert main(["compare", "--config", str(cfg)]) == 0
         summary = tmp_path / "out" / "summary.csv"
         with open(summary, encoding="utf-8", newline="") as f:
-            medians = {(row["function"], row["algorithm"]): float(row["median"])
+            medians = {(row["function"], row["algorithm"]): row["median"]
                        for row in csv.DictReader(f)}
+        # both medians lie within 1e-4 of the optimum -1400, and print apart
+        assert medians["sphere", "pso"] != medians["sphere", "pso-linear"]
         assert capsys.readouterr().out.splitlines() == [
-            *(f"sphere / {algorithm}: median final {medians['sphere', algorithm]:.6g} "
+            *(f"sphere / {algorithm}: median final {medians['sphere', algorithm]} "
               "over 3 runs" for algorithm in ("pso", "pso-linear")),
             f"wrote {summary}",
         ]
@@ -165,6 +167,21 @@ class TestTrainAndModelRuns:
         assert "pool=sphere,rastrigin" in sidecar
         config = harness.parse_config(f"functions = {text}\nalgorithms = pso\n")
         assert f"pool={','.join(config.functions)}" in sidecar
+
+    def test_closing_line_gives_each_functions_error_to_its_optimum(self, tmp_path, capsys):
+        """Sphere's optimum is -1400 and griewank's -500, so one median of raw
+        final gbests over both would describe neither."""
+        model = tmp_path / "m.bin"
+        assert main(["train", "--functions", "sphere,griewank", "--dim", "2",
+                     "--episodes", "6", "--budget", "40", "--particles", "8", "--seed", "0",
+                     "--validate-every", "0", "--out", str(model), "--log-every", "0"]) == 0
+        line = capsys.readouterr().out.splitlines()[-1]
+        head, _, tail = line.partition("; last-20 median error to the optimum: ")
+        medians, _, written = tail.partition("; ")
+        assert (head, written) == ("trained 6 episodes", f"model written to {model}")
+        errors = dict(item.split(" ") for item in medians.split(", "))
+        assert sorted(errors) == ["griewank", "sphere"]
+        assert all(float(error) >= 0.0 for error in errors.values())
 
     @pytest.mark.parametrize("flag", ["--validate-every", "--log-every"])
     def test_negative_cadence_is_runtime_error(self, tmp_path, capsys, flag):

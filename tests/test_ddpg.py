@@ -414,7 +414,7 @@ class TestCoefficientPlumbing:
             coefficient_sets(np.zeros(20), mode, "clpso")
         controller = PolicyController(DdpgAgent(action_width("pso"), seed=1), mode, "clpso")
         with pytest.raises(ValueError, match=message):
-            controller(Swarm(flat_objective(2), 10, 1000, seed=1, variant="clpso"), 0, 100)
+            controller(Swarm(flat_objective(2), 10, 1000, seed=1, variant="clpso"))
 
     def test_baseline_origin_for_pso_is_constant_schedule(self):
         class ZeroPolicy:
@@ -423,7 +423,7 @@ class TestCoefficientPlumbing:
 
         # a zero action leaves relative mode at its origin
         controller = PolicyController(ZeroPolicy(), "relative", "pso")
-        sets = controller(Swarm(flat_objective(2), 10, 1000, seed=1), 10, 100)
+        sets = controller(Swarm(flat_objective(2), 10, 1000, seed=1))
         assert sets[:, :3].tolist() == [[0.729, 1.494, 1.494]] * 5
 
 
@@ -577,10 +577,10 @@ class TestAdaptedRun:
 
         controller = PolicyController(DdpgAgent(20, seed=22), "absolute", "pso")
         swarm = Swarm(make_objective("rastrigin", 3, 81), 10, 200, seed=3)
-        controller(swarm, 0, 20)
+        controller(swarm)
         first = controller.state.copy()
         swarm.positions *= 0.5  # moved without an evaluation
-        controller(swarm, 1, 20)
+        controller(swarm)
         assert not np.array_equal(first, controller.state)
         assert np.array_equal(controller.state, encode(observe(swarm)))
 

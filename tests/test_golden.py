@@ -6,18 +6,21 @@ learner's parameter trajectory step by step, and every function's instances
 and values.  A change that is meant to be a pure speed-up or refactor must
 leave all of them unchanged; a change that moves any of them by one ulp
 shows here.  ``golden_digests`` is also run in fresh interpreters under
-different BLAS thread counts, which must agree.
+different BLAS thread counts, which must agree, and under a pinned CPU class
+that every x86-64 machine offers, which must give ``GOLDEN_PINNED``.
 """
 
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import rlapso
 from rlapso import ddpg, harness
@@ -31,6 +34,19 @@ GOLDEN = {
     "curves": "2c5635fbded2d7f127dbe6fac246dc2e6745125697c0c0ba0b616973bb67260a",
     "learner_steps": "10cacafc4941ab7d801d2fed16ff9027a052221f2687beb048da8c4513b74bee",
     "objectives": "a6f7a65fcb4cd32578a78ab2e55d7d6876141b2be774c09fd68ffbeea5a6fe13",
+}
+
+# OpenBLAS's Haswell kernels and numpy without its AVX512 ones: both pins are
+# needed, since ``objectives`` differs between the first alone and the two
+PINNED_CPU_CLASS = {"OPENBLAS_CORETYPE": "Haswell",
+                    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+GOLDEN_PINNED = {
+    "training": "549f333932da04825bd6b2e3e0a8b12fe0d3b982068291bed72aa6e85a8d2366",
+    "training_relative": "8873a2b0794e464b2b98178340c9f97c441c1d6a658b4524a2c1604675473a4a",
+    "training_rlpso": "58d1f678ac95f8ff9c7757ebb117780293032f24b38c511b254e20c398a9e8e4",
+    "curves": "2c5635fbded2d7f127dbe6fac246dc2e6745125697c0c0ba0b616973bb67260a",
+    "learner_steps": "e7cb963656f71e4b4689fab9a7c0294f718eebc68e7e5efbf1e76f28f4cf0f0c",
+    "objectives": "64d3baf8e7735e02299c6e21b0e00a12e238c4fb74bf59f20c5f984629ed379e",
 }
 
 
@@ -137,10 +153,15 @@ def test_digests_match_golden_values():
     assert golden_digests() == GOLDEN
 
 
-def _digests_in_subprocess(blas_threads: int) -> dict:
-    env = dict(os.environ)
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = str(blas_threads)
+def _blas_threads(count: int) -> dict:
+    return {var: str(count) for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                        "MKL_NUM_THREADS")}
+
+
+def _digests_in_subprocess(variables: dict) -> dict:
+    """``golden_digests()`` in a fresh interpreter whose environment is this
+    one's with ``variables`` set."""
+    env = dict(os.environ, **variables)
     src = str(Path(rlapso.__file__).resolve().parents[1])
     tests = str(Path(__file__).resolve().parent)
     env["PYTHONPATH"] = os.pathsep.join([src, tests])
@@ -151,7 +172,13 @@ def _digests_in_subprocess(blas_threads: int) -> dict:
 
 
 def test_digests_independent_of_blas_thread_count():
-    one = _digests_in_subprocess(1)
-    two = _digests_in_subprocess(2)
+    one = _digests_in_subprocess(_blas_threads(1))
+    two = _digests_in_subprocess(_blas_threads(2))
     assert one == two
     assert one == GOLDEN
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the pinned CPU class is an x86-64 one")
+def test_digests_match_pinned_cpu_class():
+    assert _digests_in_subprocess({**PINNED_CPU_CLASS, **_blas_threads(1)}) == GOLDEN_PINNED

@@ -481,16 +481,25 @@ class TestControllerContract:
         from rlapso.benchmarks import make_objective
         from rlapso.ddpg import DdpgAgent, action_width
         from rlapso.harness import controller_for
-        from rlapso.swarm import Swarm
+        from rlapso.swarm import Swarm, drive
 
         expected_variant, tag, reads_model = self.EXPECTED[algorithm]
         model = (DdpgAgent(action_width(expected_variant), seed=6), {}) if reads_model else None
         variant, controller = controller_for(algorithm, model)
         assert variant == expected_variant
-        swarm = Swarm(make_objective("rastrigin", 10, 5), 40, 1000, seed=7, variant=variant)
-        t_max = 1000 // 40 - 1
-        for t in (0, t_max):
-            table = controller(swarm, t, t_max)
+        tables = []
+
+        class Capture:
+            adapter = controller.adapter
+
+            def __call__(self, swarm):
+                tables.append(controller(swarm))
+                return tables[-1]
+
+        drive(Swarm(make_objective("rastrigin", 10, 5), 40, 1000, seed=7, variant=variant),
+              Capture())
+        assert len(tables) == 1000 // 40 - 1
+        for table in (tables[0], tables[-1]):
             assert isinstance(table, np.ndarray)
             assert table.dtype == np.float64 and table.shape == (5, 5)
             assert np.all(np.isfinite(table))

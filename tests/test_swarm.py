@@ -4,6 +4,8 @@ The oracle tests replay the generator transcript documented in the swarm
 module and hand-simulate the update equations, demanding bit-exact equality.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -24,8 +26,10 @@ def const_coeffs(w, c1, c2, c3=0.0, c4=0.0, groups=SUBGROUPS):
     return [(w, c1, c2, c3, c4)] * groups
 
 
-def schedule_table(kind, t, t_max):
-    return Schedule(kind, "tag")(None, t, t_max)
+def schedule_table(kind, t, span):
+    """The table ``kind`` gives at iteration t of ``span``: a stand-in swarm of
+    one particle that has spent t + 1 of its span + 1 evaluations."""
+    return Schedule(kind, "tag")(SimpleNamespace(n=1, eval_count=t + 1, eval_budget=span + 1))
 
 
 class TestInit:
@@ -652,10 +656,6 @@ class TestSchedules:
         with pytest.raises(ValueError, match="unknown schedule"):
             schedule_table("exponential", 0, 10)
 
-    def test_iteration_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            schedule_table("constant", 11, 10)
-
     def test_clpso_values(self):
         table = schedule_table("clpso", 25, 100)
         assert table[:, :2].tolist() == \
@@ -672,15 +672,43 @@ class TestSchedules:
     def test_constant_table_is_shared_and_read_only(self, variant):
         schedule = Schedule("constant", "none")
         swarm = Swarm(make_objective("sphere", 3, 1), 10, 100, seed=1, variant=variant)
-        table = schedule(swarm, 0, 8)
+        table = schedule(swarm)
         assert not table.flags.writeable
-        assert schedule(swarm, 8, 8) is table
         assert table is CONSTANT_TABLE
         assert np.array_equal(table, np.full((5, 5), (0.729, 1.494, 1.494, 0.0, 0.0)))
         drive(swarm, schedule)  # a step writing into its table would raise
-        assert Schedule("constant", "other")(swarm, 0, 8) is table
-        with pytest.raises(ValueError, match="outside"):
-            schedule(swarm, 9, 8)
+        assert schedule(swarm) is table
+        assert Schedule("constant", "other")(swarm) is table
+
+    @pytest.mark.parametrize("kind", ["constant", "linear_dec_w", "tvac", "clpso"])
+    @pytest.mark.parametrize("budget, n", [(15, 10), (45, 10), (600, 10), (10_000, 40),
+                                           (10_010, 40), (9_999, 37)])
+    def test_iteration_read_from_the_swarm(self, kind, budget, n):
+        """Every table of a run equals the one the iteration count t and the
+        span max(1, budget // n - 1) give, with the budget's last step cut
+        short or not."""
+        def table_at(t, span):
+            w = (span - t) / span * (0.9 - 0.4) + 0.4
+            row = {"constant": (0.729, 1.494, 1.494),
+                   "linear_dec_w": (w, 2.0, 2.0),
+                   "clpso": (w, 1.494, 0.0),
+                   "tvac": (w, (0.5 - 2.5) * (t / span) + 2.5,
+                            (2.5 - 0.5) * (t / span) + 0.5)}[kind]
+            return np.full((SUBGROUPS, 5), (*row, 0.0, 0.0))
+
+        schedule, span, tables = Schedule(kind, "tag"), max(1, budget // n - 1), []
+
+        class Checked:
+            adapter = "tag"
+
+            def __call__(self, swarm):
+                tables.append(schedule(swarm))
+                return tables[-1]
+
+        drive(Swarm(make_objective("sphere", 2, 1), n, budget, seed=1), Checked())
+        assert len(tables) == -(-(budget - n) // n)
+        for t, table in enumerate(tables):
+            assert np.array_equal(table, table_at(t, span)), t
 
 
 class TestStepTable:
@@ -741,8 +769,8 @@ class TestDrive:
         class Recorder:
             adapter = "rec"
 
-            def __call__(self, swarm, t, t_max):
-                calls.append(("control", t, t_max, swarm.eval_count))
+            def __call__(self, swarm):
+                calls.append(("control", swarm.eval_count))
                 return const_coeffs(0.7, 1.5, 1.5, groups=5)
 
         swarm = Swarm(make_objective("sphere", 2, 23), 10, 40, seed=24)
@@ -750,9 +778,9 @@ class TestDrive:
                        lambda s, prev: calls.append(("step", s.eval_count, prev)))
         fits = [fit for _, fit in record.curve]
         assert calls == [
-            ("control", 0, 3, 10), ("step", 20, fits[0]),
-            ("control", 1, 3, 20), ("step", 30, fits[1]),
-            ("control", 2, 3, 30), ("step", 40, fits[2]),
+            ("control", 10), ("step", 20, fits[0]),
+            ("control", 20), ("step", 30, fits[1]),
+            ("control", 30), ("step", 40, fits[2]),
         ]
 
 

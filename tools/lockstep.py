@@ -116,15 +116,13 @@ def policy_call(pkg, mode: str, seed: int):
     swarm = pkg.Swarm(pkg.make_objective("rastrigin", DIM, seed), N, BUDGET, seed)
     agent = ddpg.DdpgAgent(ddpg.action_width("pso"), seed=seed)
     controller = ddpg.PolicyController(agent, mode, "pso")
-    calls = iter(range(T_MAX))
     last = [None]
 
     def block():
         spent = 0.0
         for _ in range(POLICY_CALLS):
-            t = next(calls)
             start = time.perf_counter()
-            last[0] = controller(swarm, t, T_MAX)
+            last[0] = controller(swarm)
             spent += time.perf_counter() - start
             swarm.step(last[0])
         return spent
