@@ -745,8 +745,8 @@ class TestStepTable:
 class TestDrive:
     @pytest.mark.parametrize("variant", ["pso", "clpso", "rlpso"])
     def test_matches_a_hand_written_step_loop(self, variant):
-        """45 evaluations on 10 particles: four iterations, t = 0..t_max, the
-        last cut short after five particles."""
+        """45 evaluations on 10 particles: four iterations, t = 0..3 of a span
+        of 3, the last cut short after five particles."""
         obj = make_objective("rastrigin", 3, 21)
         swarm = Swarm(obj, 10, 45, seed=22, variant=variant)
         record = drive(swarm, Schedule("tvac", "tag"))
