@@ -73,48 +73,48 @@ def reward(prev_gbest: float, new_gbest: float) -> float:
 class ReplayBuffer:
     """Fixed-capacity ring of transitions with seeded uniform batch sampling.
 
-    Each transition part (state, action, reward, next state) has its own
-    preallocated float64 array, one row per transition, shaped on the first
-    push.  Rows fill from the front and are only written when reached, so
+    Each transition is one float64 row ``state | action | reward | next
+    state`` of a preallocated ``(capacity, 2 * state_dim + action_dim + 1)``
+    table.  Rows fill from the front and are only written when reached, so
     the unused capacity stays out of resident memory.
     """
 
-    def __init__(self, capacity: int, seed: int):
+    def __init__(self, capacity: int, state_dim: int, action_dim: int, seed: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._parts = None  # state, action, reward and next-state arrays
-        self._size = 0
-        self._cursor = 0
+        self._state_dim, self._reward_col = state_dim, state_dim + action_dim
+        self._table = np.empty((capacity, 2 * state_dim + action_dim + 1))
+        self._pushes = 0
         self.rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
-        return self._size
+        return min(self._pushes, self.capacity)
 
     def push(self, state, action, rew, next_state) -> None:
-        parts = (state, action, rew, next_state)
-        if self._parts is None:
-            self._parts = tuple(np.empty((self.capacity, *np.shape(p))) for p in parts)
-        for store, value in zip(self._parts, parts):
-            store[self._cursor] = value
-        self._size = min(self._size + 1, self.capacity)
-        self._cursor = (self._cursor + 1) % self.capacity
+        row, s, k = self._table[self._pushes % self.capacity], self._state_dim, self._reward_col
+        row[:s] = state
+        row[s:k] = action
+        row[k] = rew
+        row[k + 1 :] = next_state
+        self._pushes += 1
 
     def sample(self, batch_size: int):
-        """Uniform without replacement within the batch; returns stacked arrays."""
-        if batch_size > self._size:
-            raise ValueError(f"buffer holds {self._size} transitions, need {batch_size}")
-        idx = self.rng.choice(self._size, size=batch_size, replace=False)
-        return tuple(store[idx] for store in self._parts)
+        """Views ``(state_actions, rewards, next_states)`` of one gather of distinct rows."""
+        if batch_size > len(self):
+            raise ValueError(f"buffer holds {len(self)} transitions, need {batch_size}")
+        rows = self._table[self.rng.choice(len(self), size=batch_size, replace=False)]
+        k = self._reward_col
+        return rows[:, :k], rows[:, k], rows[:, k + 1 :]
 
 
 class DdpgAgent:
     """Actor/critic pair with target copies, replay buffer, and Adam states.
 
     The actor maps the 15-wide encoded state to ``action_dim`` tanh outputs;
-    the critic scores state and action concatenated at its input.  Each
-    network has its own ``GradientTape``, which owns the arrays of the
-    learner's passes through it.
+    the critic scores state and action concatenated at its input, as a replay
+    row's leading columns hold them.  Each network has its own ``GradientTape``,
+    which owns the arrays of the learner's passes through it.
     """
 
     def __init__(self, action_dim: int, seed: int, *, gamma: float = 0.99, tau: float = 0.005,
@@ -142,7 +142,7 @@ class DdpgAgent:
         self.critic_target = self.critic.clone()
         self.actor_opt = AdamState(self.actor)
         self.critic_opt = AdamState(self.critic)
-        self.buffer = ReplayBuffer(buffer_capacity, seed + 2)
+        self.buffer = ReplayBuffer(buffer_capacity, STATE_WIDTH, action_dim, seed + 2)
         self._tapes = {"actor": GradientTape(), "critic": GradientTape()}
         self._scratch = np.empty(max(self.actor.params.size, self.critic.params.size))
 
@@ -157,13 +157,12 @@ class DdpgAgent:
             soft_update(target, source, self.tau, self._scratch[: source.params.size])
 
     def train_step(self) -> tuple[float, float]:
-        """One critic regression step, one actor ascent step, one soft update.
-
-        Returns (batch critic loss, batch mean critic value) for diagnostics.
-        """
-        states, actions, rewards, next_states = self.buffer.sample(self.batch_size)
-        b = self.batch_size
-        tapes = self._tapes
+        """One critic regression step on the sampled rows' state and action
+        columns as they stand, one actor ascent step, one soft update; returns
+        (batch critic loss, batch mean critic value) for diagnostics."""
+        state_actions, rewards, next_states = self.buffer.sample(self.batch_size)
+        states = state_actions[:, :STATE_WIDTH]
+        b, tapes = self.batch_size, self._tapes
 
         # bootstrap target: y = r + gamma * Q'(s', mu'(s')), treated as constant.
         # The target passes borrow the online networks' tapes (same layer
@@ -174,7 +173,7 @@ class DdpgAgent:
         y = rewards[:, None] + self.gamma * q_next
 
         # the critic's regression pass is consumed before its second pass reuses the tape
-        q = self.critic.forward(np.hstack([states, actions]), tapes["critic"])
+        q = self.critic.forward(state_actions, tapes["critic"])
         err = q - y
         critic_loss = float(np.mean(err**2))
         grads, _ = self.critic.backward(tapes["critic"], 2.0 * err / b, input_grad=False)
@@ -350,7 +349,8 @@ def train(agent: DdpgAgent, pool, episodes: int, mode: str, variant: str, dim: i
         log.append(EpisodeRecord(done, fn_id, fn_seed, swarm.gbest_fit,
                                  float(np.mean(losses)) if losses else float("nan")))
         if log_every and (done + 1) % log_every == 0:
-            print(f"episode {done + 1}/{episodes}: {fn_id} gbest={swarm.gbest_fit:.6g}")
+            error = swarm.gbest_fit - objective.bias
+            print(f"episode {done + 1}/{episodes}: {fn_id} error={error!r}")
     if validate_every and best_actor is not None:
         agent.actor = best_actor
         agent.actor_target = best_actor.clone()

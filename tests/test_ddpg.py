@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import flat_objective
+from rlapso.benchmarks import FUNCTIONS
 from rlapso.ddpg import (
     DdpgAgent,
     PolicyController,
@@ -249,39 +250,58 @@ class TestReplayBuffer:
         return (np.full(2, float(i)), np.full(1, float(i)), float(i), np.full(2, float(i)))
 
     def test_ring_overwrites_oldest(self):
-        buf = ReplayBuffer(2, seed=0)
+        buf = ReplayBuffer(2, 2, 1, seed=0)
         for i in range(5):
             buf.push(*self._t(i))
         assert len(buf) == 2
-        _, _, rewards, _ = buf.sample(len(buf))
+        _, rewards, _ = buf.sample(len(buf))
         stored = sorted(rewards.tolist())
         assert stored == [3.0, 4.0]
 
     def test_sample_without_replacement_within_batch(self):
-        buf = ReplayBuffer(10, seed=1)
+        buf = ReplayBuffer(10, 2, 1, seed=1)
         for i in range(10):
             buf.push(*self._t(i))
-        _, _, rewards, _ = buf.sample(10)
+        _, rewards, _ = buf.sample(10)
         assert sorted(rewards.tolist()) == [float(i) for i in range(10)]
 
     def test_oversized_batch_rejected(self):
-        buf = ReplayBuffer(10, seed=2)
+        buf = ReplayBuffer(10, 2, 1, seed=2)
         buf.push(*self._t(0))
         with pytest.raises(ValueError, match="buffer holds"):
             buf.sample(2)
 
     def test_sampling_is_uniform_over_slots(self):
-        buf = ReplayBuffer(50, seed=3)
+        buf = ReplayBuffer(50, 2, 1, seed=3)
         for i in range(50):
             buf.push(*self._t(i))
         counts = np.zeros(50)
         for _ in range(10_000):
-            _, _, rewards, _ = buf.sample(10)
+            _, rewards, _ = buf.sample(10)
             for r in rewards:
                 counts[int(r)] += 1
         expected = 10_000 * 10 / 50
         sigma = math.sqrt(10_000 * 0.2 * 0.8)
         assert np.all(np.abs(counts - expected) <= 3 * sigma)
+
+    def test_each_row_holds_one_transition_in_its_columns(self):
+        def parts(i):  # a distinct value in every column of transition i
+            return (np.array([10.0 * i, 10.0 * i + 1]), np.array([10.0 * i + 2]),
+                    10.0 * i + 3, np.array([10.0 * i + 4, 10.0 * i + 5]))
+
+        buf = ReplayBuffer(3, 2, 1, seed=4)
+        for i in range(5):
+            buf.push(*parts(i))
+        state_actions, rewards, next_states = buf.sample(3)
+        assert state_actions.shape == (3, 3) and next_states.shape == (3, 2)
+        seen = []
+        for sa, r, ns in zip(state_actions, rewards, next_states):
+            i = int(r) // 10
+            state, action, rew, next_state = parts(i)
+            assert sa.tolist() == state.tolist() + action.tolist()
+            assert r == rew and ns.tolist() == next_state.tolist()
+            seen.append(i)
+        assert sorted(seen) == [2, 3, 4]
 
 
 class TestAgent:
@@ -358,8 +378,10 @@ class TestAgent:
     @pytest.mark.skipif(not sys.platform.startswith("linux"),
                         reason="counts minor page faults with getrusage on Linux")
     def test_train_step_does_not_page_fault(self):
-        # every array of a step lives on a network's tape, so the heap neither
-        # shrinks nor regrows between steps
+        # each network's passes keep their arrays on its tape; the rest of a
+        # step's arrays (the sampled batch, the hstacked critic inputs, y, err)
+        # are small and alike in size every step, so the heap neither shrinks
+        # nor regrows between steps
         import resource
 
         agent = DdpgAgent(20, seed=10, warmup=64)
@@ -442,6 +464,15 @@ class TestTrainingLoop:
         assert len(log) == 4
         assert {rec.function for rec in log} <= {"sphere", "rastrigin"}
         assert all(math.isnan(rec.mean_critic_loss) for rec in log)  # warmup never reached
+
+    def test_log_line_gives_each_episode_error_to_the_optimum(self, capsys):
+        agent = DdpgAgent(20, seed=14, warmup=10_000)
+        log = train(agent, ["sphere"], 3, "absolute", "pso", 2,
+                    n_particles=8, budget=400, seed=2, validate_every=0, log_every=1)
+        lines = capsys.readouterr().out.splitlines()
+        bias = FUNCTIONS["sphere"].bias
+        assert lines == [f"episode {rec.episode + 1}/3: sphere error={rec.final_gbest - bias!r}"
+                         for rec in log]
 
     def test_empty_pool_rejected(self):
         agent = DdpgAgent(20, seed=12)
