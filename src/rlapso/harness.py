@@ -146,6 +146,8 @@ def run_single(algorithm: str, function: str, dim: int, fn_seed: int, budget: in
 
 @dataclass
 class ExperimentConfig:
+    """A ``compare`` config; ``model`` has one path per model-driven algorithm, in order."""
+
     functions: list
     algorithms: list
     dim: int = 10
@@ -154,7 +156,7 @@ class ExperimentConfig:
     seed: int = 1
     particles: int = 40
     out_dir: str = "results"
-    model: str = ""
+    model: list = field(default_factory=list)
 
     def validate(self) -> "ExperimentConfig":
         if not self.functions:
@@ -172,12 +174,10 @@ class ExperimentConfig:
             for i, name in enumerate(names):
                 if name in names[:i]:
                     raise ConfigError(f"{key} lists {name!r} more than once")
-        reads_model = any(a in MODEL_ALGORITHMS for a in self.algorithms)
-        if reads_model and not self.model:
-            raise ConfigError("config uses a model-driven algorithm but sets no model path")
-        if self.model and not reads_model:
-            raise ConfigError(f"config sets model but no listed algorithm reads one: "
-                              f"{', '.join(self.algorithms)}")
+        reads_model = sum(a in MODEL_ALGORITHMS for a in self.algorithms)
+        if len(self.model) != reads_model:
+            raise ConfigError(f"model lists {len(self.model)} path(s) but {reads_model} of the "
+                              f"algorithms read one: {', '.join(self.algorithms)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         if self.runs < 1:
@@ -346,15 +346,15 @@ def run_experiment(config: ExperimentConfig, quiet: bool = True):
 
     Per-run swarm seeds are ``seed + run_index`` (identical across
     algorithms, so comparisons are seed-paired); per-function instance seeds
-    are ``seed + 1000 * (function_index + 1)``.  The model, if any, is loaded
-    and checked against every model-driven algorithm before ``out_dir`` is
-    created or any run starts, and only those algorithms are handed it.
+    are ``seed + 1000 * (function_index + 1)``.  The i-th model-driven
+    algorithm reads the i-th ``model`` path, loaded once and checked against
+    it, in listed order, before ``out_dir`` is created or any run starts.
     """
     config.validate()
-    model_algorithms = [a for a in config.algorithms if a in MODEL_ALGORITHMS]
-    model = ddpg.load_model(config.model) if model_algorithms else None
-    for alg in model_algorithms:
-        controller_for(alg, model)
+    models = {}
+    for alg, path in zip([a for a in config.algorithms if a in MODEL_ALGORITHMS], config.model):
+        models[alg] = ddpg.load_model(path)
+        controller_for(alg, models[alg])
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = []
@@ -365,7 +365,7 @@ def run_experiment(config: ExperimentConfig, quiet: bool = True):
             finals[(fn, alg)] = []
             for k in range(config.runs):
                 rec = run_single(alg, fn, config.dim, fn_seed, config.budget, config.seed + k,
-                                 config.particles, model if alg in MODEL_ALGORITHMS else None)
+                                 config.particles, models.get(alg))
                 write_curve_csv(rec, out / curve_filename(fn, alg, k))
                 finals[(fn, alg)].append(rec.final_fit)
                 records.append(rec)

@@ -137,6 +137,34 @@ class TestCompare:
             f"wrote {summary}",
         ]
 
+    def test_each_model_column_equals_a_run_with_its_own_model(self, tmp_path):
+        # all seven algorithms; the i-th model-driven one reads the i-th model path
+        models = {}
+        for seed, algorithm in enumerate(("rlam-absolute", "rlpso", "rlam-relative"), start=21):
+            variant, mode = harness.MODEL_ALGORITHMS[algorithm]
+            models[algorithm] = tmp_path / f"{algorithm}.bin"
+            save_model(DdpgAgent(action_width(variant), seed=seed).actor, models[algorithm],
+                       mode=mode, variant=variant, pool=["sphere"], episodes=1, seed=seed)
+        cfg = tmp_path / "cmp.cfg"
+        cfg.write_text(
+            "functions = sphere, rastrigin\n"
+            "algorithms = pso, pso-linear, rlam-absolute, pso-tvac, rlpso, clpso, rlam-relative\n"
+            f"model = {', '.join(str(path) for path in models.values())}\n"
+            f"dim=2\nruns=2\nbudget=400\nparticles=8\nseed=3\nout_dir={tmp_path / 'out'}\n"
+        )
+        assert main(["compare", "--config", str(cfg)]) == 0
+        assert len(list((tmp_path / "out").glob("*__run*.csv"))) == 2 * 7 * 2
+        for algorithm, model in models.items():
+            for fi, function in enumerate(("sphere", "rastrigin")):
+                for k in range(2):
+                    out = tmp_path / "run.csv"
+                    assert main(["run", "--function", function, "--dim", "2",
+                                 "--fn-seed", str(3 + 1000 * (fi + 1)), "--algo", algorithm,
+                                 "--model", str(model), "--budget", "400", "--particles", "8",
+                                 "--seed", str(3 + k), "--out", str(out)]) == 0
+                    column = tmp_path / "out" / harness.curve_filename(function, algorithm, k)
+                    assert out.read_bytes() == column.read_bytes(), (algorithm, function, k)
+
 
 class TestTrainAndModelRuns:
     def test_train_then_adapted_run(self, tmp_path, capsys):

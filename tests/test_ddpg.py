@@ -397,6 +397,31 @@ class TestAgent:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / 200 < 10
 
+    def test_train_step_keeps_its_arrays_on_the_tapes(self):
+        # the faults bound above also holds when numpy reallocates a step's
+        # arrays, so this pins the arrays themselves: each pass writes every
+        # layer's z and, where the layer has one, its activation into its
+        # tape's buffers, and backward writes the parameter gradients into the
+        # tape's vector
+        agent = DdpgAgent(20, seed=10, warmup=64)
+        rng = np.random.default_rng(11)
+        for _ in range(256):
+            agent.buffer.push(rng.uniform(-1, 1, 15), rng.uniform(-1, 1, 20), 1.0,
+                              rng.uniform(-1, 1, 15))
+        for _ in range(5):  # warm-up: the tapes allocate their arrays
+            agent.train_step()
+
+        def held(tape):
+            # the last pass's z per layer, then each hidden activation (the next
+            # layer's input) and the output, the tanh activation or the last z
+            return [*tape.pre_acts, *tape.inputs[1:], tape.output, tape.grads.params]
+
+        before = {name: held(tape) for name, tape in agent._tapes.items()}
+        for _ in range(50):
+            agent.train_step()
+        for name, tape in agent._tapes.items():
+            assert all(a is b for a, b in zip(held(tape), before[name], strict=True)), name
+
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(ValueError, match="tau"):
             DdpgAgent(4, seed=0, tau=0.0)

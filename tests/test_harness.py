@@ -10,6 +10,7 @@ import pytest
 
 from rlapso.harness import (
     ALGORITHMS,
+    MODEL_ALGORITHMS,
     ComparisonSummary,
     ConfigError,
     ExperimentConfig,
@@ -213,13 +214,26 @@ class TestConfig:
             parse_config("functions=sphere\nalgorithms=nope\n")
 
     def test_model_required_for_model_algorithms(self):
-        with pytest.raises(ConfigError, match="model"):
+        message = "model lists 0 path(s) but 1 of the algorithms read one: pso, rlam-absolute"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config("functions=sphere\nalgorithms=pso,rlam-absolute\n")
 
     def test_model_refused_when_no_algorithm_reads_it(self):
-        with pytest.raises(ConfigError, match="config sets model but no listed algorithm "
-                                              "reads one: pso, clpso"):
+        message = "model lists 1 path(s) but 0 of the algorithms read one: pso, clpso"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             parse_config("functions=sphere\nalgorithms=pso, clpso\nmodel = missing.bin\n")
+
+    @pytest.mark.parametrize("paths", ["a.bin", "a.bin, b.bin, c.bin"])
+    def test_one_model_path_per_model_driven_algorithm(self, paths):
+        with pytest.raises(ConfigError, match=r"^model lists [13] path\(s\) but 2 of the "
+                                              r"algorithms read one: pso, rlpso, rlam-relative$"):
+            parse_config(f"functions=sphere\nalgorithms=pso, rlpso, rlam-relative\n"
+                         f"model = {paths}\n")
+
+    def test_model_is_a_list_of_paths(self):
+        one = parse_config("functions=sphere\nalgorithms=pso, rlam-absolute\nmodel = a.bin\n")
+        assert one.model == ["a.bin"]
+        assert parse_config("functions=sphere\nalgorithms=pso\nmodel =\n").model == []
 
     def test_byte_order_mark_is_dropped(self, tmp_path):
         text = "functions = sphere, rastrigin\nalgorithms = pso\nruns = 3\n"
@@ -269,7 +283,7 @@ class TestRunSingle:
         save_model(DdpgAgent(action_width("pso"), seed=5).actor, path, mode="absolute",
                    variant="pso", pool=["sphere"], episodes=1, seed=5)
         cfg = tiny_config(tmp_path, algorithms=["pso", "clpso", "rlam-absolute"],
-                          model=str(path))
+                          model=[str(path)])
         records, _ = run_experiment(cfg)
         assert [(r.variant, r.adapter) for r in records[:9:3]] == [
             ("pso", "none"), ("clpso", "linear_dec_w"), ("pso", "rlam-absolute")]
@@ -424,23 +438,35 @@ class TestModelContract:
             run_single("rlam-relative", "sphere", 2, 1, 100, 1, particles=8,
                        model=self._model(mode="relative", action_width="25"))
 
-    # one model serves one model-driven algorithm: every pair differs in mode or variant
-    @pytest.mark.parametrize("fits, refuses, error", [
-        ("rlam-absolute", "rlam-relative", "mode=absolute, rlam-relative needs relative"),
-        ("rlam-absolute", "rlpso", "model emits 20 action values, rlpso needs 25"),
-        ("rlam-relative", "rlpso", "model emits 20 action values, rlpso needs 25"),
+    # every pair differs in mode or variant, so each reads its own model: the
+    # i-th model-driven algorithm the i-th path
+    @pytest.mark.parametrize("first, second, swapped_error", [
+        ("rlam-absolute", "rlam-relative",
+         "model sidecar has mode=relative, rlam-absolute needs absolute"),
+        ("rlam-absolute", "rlpso", "model emits 25 action values, rlam-absolute needs 20"),
+        ("rlam-relative", "rlpso", "model emits 25 action values, rlam-relative needs 20"),
     ], ids=["absolute-relative", "absolute-rlpso", "relative-rlpso"])
-    def test_experiment_checks_its_model_before_any_run(self, tmp_path, fits, refuses, error):
+    def test_experiment_checks_its_model_before_any_run(self, tmp_path, first, second,
+                                                        swapped_error):
         from rlapso.ddpg import DdpgAgent, action_width, save_model
 
-        path = tmp_path / "model.bin"
-        save_model(DdpgAgent(action_width("pso"), seed=5).actor, path,
-                   mode=fits.removeprefix("rlam-"), variant="pso", pool=["sphere"],
-                   episodes=1, seed=5)
-        cfg = tiny_config(tmp_path, algorithms=["pso", fits, refuses], model=str(path))
-        with pytest.raises(ValueError, match=error):
-            run_experiment(cfg)
-        assert not Path(cfg.out_dir).exists()
+        paths = []
+        for seed, algorithm in enumerate((first, second), start=5):
+            variant, mode = MODEL_ALGORITHMS[algorithm]
+            paths.append(str(tmp_path / f"{algorithm}.bin"))
+            save_model(DdpgAgent(action_width(variant), seed=seed).actor, paths[-1],
+                       mode=mode, variant=variant, pool=["sphere"], episodes=1, seed=seed)
+        cfg = tiny_config(tmp_path, algorithms=["pso", first, second], model=paths)
+        records, _ = run_experiment(cfg)
+        assert [(r.variant, r.adapter) for r in records[:9:3]] == [("pso", "none")] + [
+            (MODEL_ALGORITHMS[a][0], f"rlam-{MODEL_ALGORITHMS[a][1]}") for a in (first, second)]
+
+        # swapped, the first model-driven column's check refuses before any file
+        swapped = tiny_config(tmp_path / "swapped", algorithms=["pso", first, second],
+                              model=paths[::-1])
+        with pytest.raises(ValueError, match=f"^{re.escape(swapped_error)}$"):
+            run_experiment(swapped)
+        assert not Path(swapped.out_dir).exists()
 
     def test_actor_input_width_checked_without_a_sidecar_key(self, tmp_path):
         from rlapso.ddpg import MODEL_META_SUFFIX, save_model
@@ -454,7 +480,7 @@ class TestModelContract:
         text = sidecar.read_text()
         assert "state_width=16\n" in text
         sidecar.write_text(text.replace("state_width=16\n", ""))
-        cfg = tiny_config(tmp_path, algorithms=["pso", "rlam-absolute"], model=str(path))
+        cfg = tiny_config(tmp_path, algorithms=["pso", "rlam-absolute"], model=[str(path)])
         with pytest.raises(ValueError, match="model reads 16 state values, rlam-absolute needs 15"):
             run_experiment(cfg)
         assert not Path(cfg.out_dir).exists()
